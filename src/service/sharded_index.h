@@ -76,6 +76,13 @@ class ShardedIndex final : public IndexSnapshot {
   // Builds from per-list sorted row-id lists (values < num_rows): list l of
   // shard s holds lists[l] ∩ [Begin(s), End(s)), rebased to local ids.
   // num_rows must be >= 1 and <= 2^32.
+  //
+  // The (shard, list) encodes run in parallel on up to
+  // hardware_concurrency() short-lived threads (the caller is one of them),
+  // not on the shared ThreadPool, so Build is safe to call from a pool
+  // worker (LiveIndex compaction does). The result is identical for any
+  // thread count, and a helper thread that cannot be created is skipped
+  // rather than reported. `codec.Encode` must be safe to call concurrently.
   static ShardedIndex Build(const Codec& codec,
                             std::span<const std::vector<uint32_t>> lists,
                             uint64_t num_rows, size_t num_shards);

@@ -291,7 +291,7 @@ Status LiveIndex::Compact() {
     std::vector<uint32_t> merged;
     for (const auto& [list, delta] : frozen) {
       ApplyDelta(lists[list], delta, &merged);
-      lists[list] = merged;
+      lists[list].swap(merged);
     }
     ShardedIndex fresh =
         ShardedIndex::Build(base->codec(), lists, base->NumRows(),

@@ -18,6 +18,7 @@
 #include "core/query.h"
 #include "core/registry.h"
 #include "engine/thread_pool.h"
+#include "obs/metrics.h"
 #include "service/sharded_index.h"
 #include "storage/index_writer.h"
 #include "storage/mapped_index.h"
@@ -285,6 +286,68 @@ TEST(StorageConcurrencyTest, LazyMaterializationIsThreadSafe) {
   for (auto& c : clients) c.join();
   EXPECT_FALSE(failed.load());
   EXPECT_EQ((*mapped)->MaterializedPayloads(), 8 * kNumLists);
+}
+
+// --------------------------------------------- parallel build determinism
+
+TEST(StorageWriterTest, ParallelBuildMatchesSerialColumnBuild) {
+  // BuildFromColumn is the serial reference: BitmapIndex::Build encodes
+  // each shard's slice of each value's rows, in order, with codec.Encode on
+  // the calling thread. Build over the same rows as lists must write the
+  // same container byte for byte, whatever thread claimed which encode.
+  // The column mixes a dense value, values confined to the first half
+  // (empty slices in later shards) and a value that never occurs.
+  constexpr uint32_t kCardinality = 12;
+  Prng rng(NoteSeed(1414));
+  std::vector<uint32_t> column(kRows);
+  for (uint32_t r = 0; r < kRows; ++r) {
+    if (r % 2 == 0) continue;  // value 0
+    column[r] = static_cast<uint32_t>(r < kRows / 2 ? 1 + rng.NextBounded(4)
+                                                    : 5 + rng.NextBounded(6));
+  }
+  std::vector<std::vector<uint32_t>> lists(kCardinality);
+  for (uint32_t r = 0; r < kRows; ++r) lists[column[r]].push_back(r);
+  ASSERT_TRUE(lists[kCardinality - 1].empty());
+
+  // One list, one shard: fewer encodes than threads.
+  const std::vector<uint32_t> all_rows_column(kRows, 0);
+  std::vector<std::vector<uint32_t>> all_rows(1);
+  for (uint32_t r = 0; r < kRows; ++r) all_rows[0].push_back(r);
+
+  const auto expect_same_image = [](const ShardedIndex& a,
+                                    const ShardedIndex& b) {
+    std::vector<uint8_t> image_a, image_b;
+    ASSERT_TRUE(WriteIndexImage(a, &image_a).ok());
+    ASSERT_TRUE(WriteIndexImage(b, &image_b).ok());
+    ASSERT_EQ(image_a, image_b);
+  };
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  const Codec* planner = FindCodec("Planner");
+  for (const Codec* codec : AllAndExtensions()) {
+    SCOPED_TRACE(codec->Name());
+    for (size_t shards : {size_t{1}, size_t{3}, size_t{8}}) {
+      SCOPED_TRACE(shards);
+      reg.Reset();
+      reg.SetEnabled(true);
+      const ShardedIndex built =
+          ShardedIndex::Build(*codec, lists, kRows, shards);
+      reg.SetEnabled(false);
+      // Every (shard, list) encode ran exactly once.
+      uint64_t choices = 0;
+      for (const Codec* member : AllCodecs()) {
+        choices += reg.CounterValue(
+            "planner.build.choice." + std::string(member->Name()));
+      }
+      EXPECT_EQ(choices, codec == planner ? shards * kCardinality : 0);
+
+      expect_same_image(built, ShardedIndex::BuildFromColumn(
+                                   *codec, column, kCardinality, shards));
+    }
+    expect_same_image(
+        ShardedIndex::Build(*codec, all_rows, kRows, 1),
+        ShardedIndex::BuildFromColumn(*codec, all_rows_column, 1, 1));
+  }
+  reg.Reset();
 }
 
 // ----------------------------------------------------------- writer misuse
