@@ -1,8 +1,8 @@
 #include "invlist/pef.h"
 
 #include <algorithm>
-
 #include <cassert>
+#include <numeric>
 
 #include "common/bitpack.h"
 #include "common/bits.h"
@@ -33,45 +33,136 @@ size_t EfWords(uint64_t u, size_t n, int l) {
   return WordsForBits(static_cast<uint64_t>(n) * l) + WordsForBits(high_bits);
 }
 
-// Lazily iterates the values of one partition; supports skipping within the
-// high-bit array without materializing the partition.
-class PartitionCursor {
- public:
-  // Default state is an exhausted cursor; PefCursor positions lazily.
-  PartitionCursor() : part_{} {}
-
-  PartitionCursor(const PefCodec::Set& set, size_t part_index,
-                  size_t partition_span)
-      : part_(set.parts[part_index]) {
-    const size_t i = part_index * partition_span;
-    n_ = std::min(partition_span, set.count - i);
-    words_ = set.data.data() + part_.offset;
-    if (part_.type == PefCodec::PartitionType::kEliasFano) {
-      low_words_ = words_;
-      high_words_ =
-          words_ + WordsForBits(static_cast<uint64_t>(n_) * part_.low_bits);
+// One partition's metadata plus where its container lies in `data`.
+struct PartitionRef {
+  PartitionRef() : part{} {}
+  PartitionRef(const PefCodec::Set& set, size_t part_index,
+               size_t partition_span)
+      : part(set.parts[part_index]) {
+    n = std::min(partition_span, set.count - part_index * partition_span);
+    // A run stores nothing, and nothing checks its offset.
+    if (part.type == PefCodec::PartitionType::kRun) return;
+    low = set.data.data() + part.offset;
+    bits = low;
+    if (part.type == PefCodec::PartitionType::kEliasFano) {
+      bits += WordsForBits(static_cast<uint64_t>(n) * part.low_bits);
     }
   }
 
-  size_t size() const { return n_; }
-  bool exhausted() const { return i_ >= n_; }
+  PefCodec::Partition part;
+  size_t n = 0;                    // values in the partition
+  const uint32_t* low = nullptr;   // EF low-bit words
+  const uint32_t* bits = nullptr;  // the bitmap, or the EF high-bit array
+};
+
+// Position of the first set bit at or after `pos`, skipping zero words
+// whole. One must exist: ValidateSet's structural pass counts every
+// container's set bits.
+inline uint64_t NextSetBit(const uint32_t* words, uint64_t pos) {
+  size_t w = static_cast<size_t>(pos >> 5);
+  uint32_t word = words[w] & (~uint32_t{0} << (pos & 31));
+  while (word == 0) word = words[++w];
+  return (static_cast<uint64_t>(w) << 5) + CountTrailingZeros32(word);
+}
+
+// The bulk partition kernel: Next(m, out) writes a partition's next m values
+// to out[0..m). Run partitions fill with iota. Bitmap and Elias-Fano
+// partitions walk their bit array a word at a time with ctz and
+// clear-lowest-bit; EF first unpacks the m low parts in bulk, then pairs the
+// k-th set high bit, at position b, with the k-th low part as
+// first + ((b - k) << l | low). A partition can be decoded in one call or
+// streamed through a fixed buffer in chunks; every chunk but the last must
+// hold a multiple of 32 values, which keeps each chunk's low bits
+// word-aligned. The container must hold size() set bits (ValidateSet's
+// structural pass establishes that).
+class PartitionDecoder {
+ public:
+  PartitionDecoder(const PefCodec::Set& set, size_t part_index,
+                   size_t partition_span)
+      : ref_(set, part_index, partition_span) {}
+
+  size_t size() const { return ref_.n; }
+  size_t remaining() const { return ref_.n - k_; }
+
+  void Next(size_t m, uint32_t* out) {
+    assert(m <= remaining());
+    const uint32_t first = ref_.part.first;
+    switch (ref_.part.type) {
+      case PefCodec::PartitionType::kRun:
+        std::iota(out, out + m, first + static_cast<uint32_t>(k_));
+        break;
+      case PefCodec::PartitionType::kBitmap:
+        ScanSetBits(m, [&](size_t i, uint64_t b) {
+          out[i] = first + static_cast<uint32_t>(b);
+        });
+        break;
+      case PefCodec::PartitionType::kEliasFano:
+      default: {
+        const int l = ref_.part.low_bits;
+        assert(k_ % 32 == 0 || m == 0);
+        UnpackBits(ref_.low + k_ * l / 32, m, l, out);
+        const size_t k = k_;
+        ScanSetBits(m, [&](size_t i, uint64_t b) {
+          const uint32_t high = static_cast<uint32_t>(b - (k + i));
+          out[i] = first + ((high << l) | out[i]);
+        });
+        break;
+      }
+    }
+    k_ += m;
+  }
+
+ private:
+  // Calls emit(i, b) with the position b of each of the next m set bits
+  // of the bit array, in order.
+  template <typename Emit>
+  void ScanSetBits(size_t m, Emit emit) {
+    if (m == 0) return;
+    size_t w = static_cast<size_t>(pos_ >> 5);
+    uint32_t word = ref_.bits[w] & (~uint32_t{0} << (pos_ & 31));
+    uint64_t b = 0;
+    for (size_t i = 0; i < m; ++i) {
+      while (word == 0) word = ref_.bits[++w];
+      b = (static_cast<uint64_t>(w) << 5) + CountTrailingZeros32(word);
+      word = ClearLowestBit32(word);
+      emit(i, b);
+    }
+    pos_ = b + 1;
+  }
+
+  PartitionRef ref_;
+  size_t k_ = 0;      // values decoded so far
+  uint64_t pos_ = 0;  // bit-array position just past the last value's bit
+};
+
+// Lazily iterates the values of one partition for NextGEQ, without
+// materializing it.
+class PartitionCursor {
+ public:
+  // Default state is an exhausted cursor; PefCursor positions lazily.
+  PartitionCursor() = default;
+
+  PartitionCursor(const PefCodec::Set& set, size_t part_index,
+                  size_t partition_span)
+      : ref_(set, part_index, partition_span) {}
+
+  bool exhausted() const { return i_ >= ref_.n; }
 
   // Value at the current position (valid unless exhausted).
   uint32_t Current() {
-    switch (part_.type) {
+    const PefCodec::Partition& part = ref_.part;
+    switch (part.type) {
       case PefCodec::PartitionType::kRun:
-        return part_.first + static_cast<uint32_t>(i_);
-      case PefCodec::PartitionType::kBitmap: {
-        SkipBitmapZeros();
-        return part_.first + static_cast<uint32_t>(bitpos_);
-      }
+        return part.first + static_cast<uint32_t>(i_);
+      case PefCodec::PartitionType::kBitmap:
+        bitpos_ = NextSetBit(ref_.bits, bitpos_);
+        return part.first + static_cast<uint32_t>(bitpos_);
       case PefCodec::PartitionType::kEliasFano:
       default: {
-        SkipHighZeros();
+        bitpos_ = NextSetBit(ref_.bits, bitpos_);
         const uint32_t high = static_cast<uint32_t>(bitpos_ - i_);
-        const uint32_t low = static_cast<uint32_t>(
-            GetPacked(low_words_, i_, part_.low_bits));
-        return part_.first + ((high << part_.low_bits) | low);
+        const uint32_t low = GetPacked(ref_.low, i_, part.low_bits);
+        return part.first + ((high << part.low_bits) | low);
       }
     }
   }
@@ -82,19 +173,8 @@ class PartitionCursor {
   }
 
  private:
-  void SkipBitmapZeros() {
-    while (!TestBit(words_, bitpos_)) ++bitpos_;
-  }
-  void SkipHighZeros() {
-    while (!TestBit(high_words_, bitpos_)) ++bitpos_;
-  }
-
-  PefCodec::Partition part_;
-  const uint32_t* words_ = nullptr;
-  const uint32_t* low_words_ = nullptr;
-  const uint32_t* high_words_ = nullptr;
-  size_t n_ = 0;
-  size_t i_ = 0;      // elements consumed
+  PartitionRef ref_;
+  size_t i_ = 0;         // elements consumed
   uint64_t bitpos_ = 0;  // scan position in the bitmap / high-bit array
 };
 
@@ -179,18 +259,15 @@ class PefCursor {
         }
         case PefCodec::PartitionType::kEliasFano:
         default: {
-          PartitionCursor cur(*set_, p, span_);
-          if (cur.size() <= kMaxMaterializedPartition) {
-            buf.clear();
-            buf.reserve(cur.size());
-            while (!cur.exhausted()) {
-              buf.push_back(cur.Current());
-              cur.Advance();
-            }
+          PartitionDecoder dec(*set_, p, span_);
+          if (dec.size() <= kMaxMaterializedPartition) {
+            buf.resize(dec.size());
+            dec.Next(buf.size(), buf.data());
             IntersectSliceWithBlockInto(slice, buf, out);
           } else {
             // Oversized partition (the whole-list EF extension): stream the
             // values against the slice instead of materializing them.
+            PartitionCursor cur(*set_, p, span_);
             size_t s = 0;
             while (s < slice.size() && !cur.exhausted()) {
               const uint32_t v = cur.Current();
@@ -318,15 +395,13 @@ std::unique_ptr<CompressedSet> PefCodec::Encode(
 void PefCodec::Decode(const CompressedSet& set,
                       std::vector<uint32_t>* out) const {
   const auto& s = static_cast<const Set&>(set);
-  out->clear();
-  out->reserve(s.count);
+  out->resize(s.count);
+  uint32_t* dst = out->data();
   const size_t span = PartitionSpan(s.count);
   for (size_t p = 0; p < s.parts.size(); ++p) {
-    PartitionCursor cursor(s, p, span);
-    while (!cursor.exhausted()) {
-      out->push_back(cursor.Current());
-      cursor.Advance();
-    }
+    PartitionDecoder dec(s, p, span);
+    dec.Next(dec.size(), dst);
+    dst += dec.size();
   }
 }
 
@@ -483,25 +558,35 @@ Status PefCodec::ValidateSet(const CompressedSet& set, uint64_t domain) const {
     }
   }
 
-  // Value replay: decode every partition with the real cursor and require
+  // Value replay: decode every partition with the bulk kernel and require
   // exactly the announced first/last plus global strict monotonicity. The
   // high bits are bounded above, but crafted EF low bits can still produce
-  // out-of-order values — only a replay catches that.
-  uint64_t prev = 0;
-  bool have_prev = false;
+  // out-of-order values — only a replay catches that. Values go through a
+  // fixed buffer a chunk at a time, since the whole-list EF extension can
+  // announce any count. Run partitions need no replay: their values are
+  // first..last by construction, and the structural pass ordered them.
+  constexpr size_t kChunk = 256;
+  uint32_t buf[kChunk];
+  int64_t prev = -1;
   for (size_t p = 0; p < s.parts.size(); ++p) {
-    PartitionCursor cursor(s, p, span);
-    uint32_t part_first = 0;
-    uint32_t v = 0;
-    for (size_t k = 0; !cursor.exhausted(); cursor.Advance(), ++k) {
-      v = cursor.Current();
-      if (k == 0) part_first = v;
-      if (have_prev && v <= prev)
-        return Status::Corrupt("PEF: values not strictly increasing");
-      prev = v;
-      have_prev = true;
+    const Partition& part = s.parts[p];
+    if (part.type == PartitionType::kRun) {
+      prev = part.last;
+      continue;
     }
-    if (part_first != s.parts[p].first || v != s.parts[p].last)
+    PartitionDecoder dec(s, p, span);
+    uint32_t part_first = 0;
+    for (bool first_chunk = true; dec.remaining() > 0; first_chunk = false) {
+      const size_t m = std::min(kChunk, dec.remaining());
+      dec.Next(m, buf);
+      if (first_chunk) part_first = buf[0];
+      bool ordered = buf[0] > prev;
+      for (size_t k = 1; k < m; ++k) ordered &= buf[k] > buf[k - 1];
+      if (!ordered)
+        return Status::Corrupt("PEF: values not strictly increasing");
+      prev = buf[m - 1];
+    }
+    if (part_first != part.first || prev != part.last)
       return Status::Corrupt("PEF: partition bounds mismatch");
   }
   return Status::Ok();

@@ -8,9 +8,11 @@
 //   - implicit: the partition is a dense run first..last (zero bytes).
 // This is the clustering-adaptive partitioning of [30] with fixed-size
 // partitions. NextGEQ walks the high-bit array directly, so intersection
-// does not decode whole partitions (the property the paper highlights);
-// full decompression must touch every high bit, which is why PEF decodes
-// slowest (§5.1(12)).
+// does not decode whole partitions (the property the paper highlights).
+// Full decompression must touch every high bit (§5.1(12)); one bulk kernel
+// does it a word at a time, ctz plus clear-lowest-bit over the high words
+// with the low bits unpacked in bulk, and serves Decode, the bulk probe's
+// partition materialization and ValidateSet's value replay alike.
 
 #ifndef INTCOMP_INVLIST_PEF_H_
 #define INTCOMP_INVLIST_PEF_H_

@@ -77,8 +77,8 @@ class ShardedIndex final : public IndexSnapshot {
   // shard s holds lists[l] ∩ [Begin(s), End(s)), rebased to local ids.
   // num_rows must be >= 1 and <= 2^32.
   //
-  // The (shard, list) encodes run in parallel on up to
-  // hardware_concurrency() short-lived threads (the caller is one of them),
+  // The (shard, list) encodes run in parallel on up to one short-lived
+  // thread per CPU in the process's affinity mask (the caller is one of them),
   // not on the shared ThreadPool, so Build is safe to call from a pool
   // worker (LiveIndex compaction does). The result is identical for any
   // thread count, and a helper thread that cannot be created is skipped

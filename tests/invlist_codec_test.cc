@@ -1,12 +1,16 @@
 // Structural tests for the inverted-list codecs: block formats, selector
 // tables, exception machinery, escapes, and PEF container choice.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/simd_intersect.h"
 #include "invlist/blocked_list.h"
 #include "invlist/groupvb.h"
 #include "invlist/newpfordelta.h"
@@ -424,6 +428,368 @@ TEST(PefTest, SpaceNearInformationTheoreticBound) {
   const double bits_per_elem = 8.0 * set->SizeInBytes() / values.size();
   EXPECT_LT(bits_per_elem, 20.0);
   EXPECT_GT(bits_per_elem, 10.0);
+}
+
+// --- PEF bulk partition kernel vs a bit-at-a-time reference --------------------
+
+uint32_t RefBit(const uint32_t* words, uint64_t pos) {
+  return (words[pos >> 5] >> (pos & 31)) & 1u;
+}
+
+// Effective partition span of a PEF set: 128 for PEF, the whole list for
+// the EF extension (partition size 0).
+size_t RefSpan(size_t partition_size, size_t count) {
+  return partition_size == 0 ? std::max<size_t>(1, count) : partition_size;
+}
+
+// Reference decode of a structurally valid PEF set: one bit per step through
+// the bitmap / high-bit array, and the low bits read one bit at a time.
+std::vector<uint32_t> RefPefDecode(const PefCodec::Set& s, size_t span) {
+  std::vector<uint32_t> out;
+  for (size_t p = 0; p < s.parts.size(); ++p) {
+    const PefCodec::Partition& part = s.parts[p];
+    const size_t n = std::min(span, s.count - p * span);
+    const uint32_t* words = s.data.data() + part.offset;
+    uint64_t pos = 0;
+    for (size_t k = 0; k < n; ++k) {
+      switch (part.type) {
+        case PefCodec::PartitionType::kRun:
+          out.push_back(part.first + static_cast<uint32_t>(k));
+          break;
+        case PefCodec::PartitionType::kBitmap:
+          while (RefBit(words, pos) == 0) ++pos;
+          out.push_back(part.first + static_cast<uint32_t>(pos++));
+          break;
+        case PefCodec::PartitionType::kEliasFano: {
+          const int l = part.low_bits;
+          const uint32_t* high =
+              words + (static_cast<uint64_t>(n) * l + 31) / 32;
+          while (RefBit(high, pos) == 0) ++pos;
+          uint32_t low = 0;
+          for (int b = 0; b < l; ++b) {
+            low |= RefBit(words, static_cast<uint64_t>(k) * l + b) << b;
+          }
+          const uint32_t hi = static_cast<uint32_t>(pos++ - k);
+          out.push_back(part.first + ((hi << l) | low));
+          break;
+        }
+      }
+    }
+  }
+  return out;
+}
+
+// Reference validator: the structural checks PefCodec::ValidateSet makes,
+// then a per-element replay through RefPefDecode requiring strict global
+// monotonicity and each partition's announced first and last.
+bool RefPefValid(const PefCodec::Set& s, uint64_t domain,
+                 size_t partition_size) {
+  const uint64_t dmax = std::min<uint64_t>(domain, uint64_t{1} << 32);
+  if (s.count > dmax) return false;
+  const size_t span = RefSpan(partition_size, s.count);
+  const size_t want_parts = s.count == 0 ? 0 : (s.count - 1) / span + 1;
+  if (s.parts.size() != want_parts) return false;
+  if (s.count == 0) return s.data.empty();
+  uint64_t prev_last = 0;
+  for (size_t p = 0; p < s.parts.size(); ++p) {
+    const PefCodec::Partition& part = s.parts[p];
+    const size_t n = std::min(span, s.count - p * span);
+    if (part.first > part.last || part.last >= dmax) return false;
+    if (p > 0 && part.first <= prev_last) return false;
+    prev_last = part.last;
+    const uint64_t universe = part.last - part.first;
+    uint64_t bit_words = 0, bit_len = 0, skip = 0;
+    switch (part.type) {
+      case PefCodec::PartitionType::kRun:
+        if (universe != n - 1) return false;
+        continue;
+      case PefCodec::PartitionType::kBitmap:
+        bit_len = universe + 1;
+        break;
+      case PefCodec::PartitionType::kEliasFano:
+        if (part.low_bits > 31) return false;
+        skip = (static_cast<uint64_t>(n) * part.low_bits + 31) / 32;
+        bit_len = n + (universe >> part.low_bits) + 1;
+        break;
+    }
+    bit_words = (bit_len + 31) / 32;
+    if (static_cast<uint64_t>(part.offset) + skip + bit_words > s.data.size())
+      return false;
+    const uint32_t* w = s.data.data() + part.offset + skip;
+    uint64_t ones = 0;
+    for (uint64_t b = 0; b < bit_words * 32; ++b) {
+      if (RefBit(w, b) == 0) continue;
+      if (b >= bit_len) return false;  // a set bit past the universe
+      ++ones;
+    }
+    if (ones != n) return false;
+  }
+  const std::vector<uint32_t> values = RefPefDecode(s, span);
+  size_t i = 0;
+  for (size_t p = 0; p < s.parts.size(); ++p) {
+    const size_t n = std::min(span, s.count - p * span);
+    if (values[i] != s.parts[p].first || values[i + n - 1] != s.parts[p].last)
+      return false;
+    i += n;
+  }
+  for (size_t k = 1; k < values.size(); ++k) {
+    if (values[k] <= values[k - 1]) return false;
+  }
+  return true;
+}
+
+// Builds a PEF set whose every partition is Elias-Fano with low-bit width
+// `l`, whether or not the encoder would pick it: the decoder must handle any
+// width the validator accepts, 0..31.
+std::unique_ptr<PefCodec::Set> EncodeAllEf(const std::vector<uint32_t>& v,
+                                           size_t span, int l) {
+  auto set = std::make_unique<PefCodec::Set>();
+  set->count = v.size();
+  for (size_t i = 0; i < v.size(); i += span) {
+    const size_t n = std::min(span, v.size() - i);
+    PefCodec::Partition part;
+    part.first = v[i];
+    part.last = v[i + n - 1];
+    part.offset = static_cast<uint32_t>(set->data.size());
+    part.type = PefCodec::PartitionType::kEliasFano;
+    part.low_bits = static_cast<uint8_t>(l);
+    const uint64_t universe = part.last - part.first;
+    const size_t lw = (static_cast<uint64_t>(n) * l + 31) / 32;
+    const size_t hw = (n + (universe >> l) + 1 + 31) / 32;
+    set->data.resize(part.offset + lw + hw, 0);
+    uint32_t* low = set->data.data() + part.offset;
+    uint32_t* high = low + lw;
+    for (size_t k = 0; k < n; ++k) {
+      const uint64_t off = v[i + k] - part.first;
+      for (int b = 0; b < l; ++b) {
+        const uint64_t pos = static_cast<uint64_t>(k) * l + b;
+        low[pos >> 5] |= static_cast<uint32_t>((off >> b) & 1) << (pos & 31);
+      }
+      const uint64_t pos = (off >> l) + k;
+      high[pos >> 5] |= uint32_t{1} << (pos & 31);
+    }
+    set->parts.push_back(part);
+  }
+  return set;
+}
+
+// Decode, checked parse and both probe paths agree with the reference.
+void ExpectPefMatchesReference(const PefCodec& codec, size_t partition_size,
+                               const PefCodec::Set& set,
+                               const std::vector<uint32_t>& values,
+                               uint64_t domain) {
+  const size_t span = RefSpan(partition_size, set.count);
+  ASSERT_EQ(RefPefDecode(set, span), values);
+  std::vector<uint32_t> out;
+  codec.Decode(set, &out);
+  EXPECT_EQ(out, values);
+  EXPECT_TRUE(RefPefValid(set, domain, partition_size));
+  EXPECT_TRUE(codec.ValidateSet(set, domain).ok());
+  std::vector<uint8_t> image;
+  codec.Serialize(set, &image);
+  auto checked = codec.DeserializeChecked(image, domain);
+  ASSERT_TRUE(checked.ok()) << checked.status().ToString();
+  codec.Decode(**checked, &out);
+  EXPECT_EQ(out, values);
+  // Every other value as the probe: the bulk probe materializes EF
+  // partitions (or streams the oversized ones), the scalar ablation walks
+  // NextGEQ.
+  std::vector<uint32_t> probe;
+  for (size_t i = 0; i < values.size(); i += 2) probe.push_back(values[i]);
+  if (!values.empty() && values.back() < UINT32_MAX) {
+    probe.push_back(values.back() + 1);  // past the end: no match
+  }
+  const std::vector<uint32_t> want = RefIntersect(values, probe);
+  const KernelMode saved = GetKernelMode();
+  for (KernelMode mode : {KernelMode::kAuto, KernelMode::kScalar}) {
+    SetKernelMode(mode);
+    codec.IntersectWithList(set, probe, &out);
+    EXPECT_EQ(out, want) << KernelModeName(mode);
+  }
+  SetKernelMode(saved);
+}
+
+TEST(PefKernelTest, DecodeMatchesReferenceOnEveryContainer) {
+  PefCodec codec;
+  const uint64_t domain = uint64_t{1} << 24;
+  // A run, a bitmap and an EF partition, then a partial last partition
+  // (3 * 128 + 37 values).
+  std::vector<uint32_t> v;
+  for (uint32_t i = 0; i < 128; ++i) v.push_back(1000 + i);
+  for (uint32_t x : RandomSortedList(128, 300, TestSeed(21))) {
+    v.push_back(5000 + x);
+  }
+  for (uint32_t x : RandomSortedList(128 + 37, 1 << 20, TestSeed(22))) {
+    v.push_back(10000 + x);
+  }
+  auto set = codec.Encode(v, domain);
+  const auto& s = static_cast<const PefCodec::Set&>(*set);
+  ASSERT_EQ(s.parts.size(), 4u);
+  EXPECT_EQ(s.parts[0].type, PefCodec::PartitionType::kRun);
+  EXPECT_EQ(s.parts[1].type, PefCodec::PartitionType::kBitmap);
+  EXPECT_EQ(s.parts[2].type, PefCodec::PartitionType::kEliasFano);
+  EXPECT_EQ(s.parts[3].type, PefCodec::PartitionType::kEliasFano);
+  ExpectPefMatchesReference(codec, 128, s, v, domain);
+}
+
+TEST(PefKernelTest, DecodesEveryLowBitWidth) {
+  PefCodec codec;
+  for (int l = 0; l <= 31; ++l) {
+    SCOPED_TRACE(l);
+    // Offsets up to ~2^(l+2) per partition keep the high array short; two
+    // values 2^31 apart fill a 31-bit low part.
+    const uint64_t domain = std::min<uint64_t>(uint64_t{1} << 32,
+                                               uint64_t{1} << (l + 9));
+    std::vector<uint32_t> v =
+        RandomSortedList(3 * 128 + 5, domain, TestSeed(100 + l));
+    if (l == 31) v = {7, 7 + (uint32_t{1} << 31) + 12345, 0xFFFFFFF0u};
+    auto set = EncodeAllEf(v, 128, l);
+    ExpectPefMatchesReference(codec, 128, *set, v, domain);
+  }
+}
+
+TEST(PefKernelTest, WholeListEfExtensionAndEmptyLists) {
+  const PefCodec ef(0, "EF");
+  const uint64_t domain = uint64_t{1} << 22;
+  // One partition of 5000: past the 256-value validation chunk and the
+  // 1024-value materialization cap, so the chunked replay and the
+  // streaming probe both run. Sparse, dense and run-shaped lists reach the
+  // EF, bitmap and run containers.
+  std::vector<uint32_t> run(3000);
+  for (uint32_t i = 0; i < run.size(); ++i) run[i] = 77 + i;
+  const std::vector<std::vector<uint32_t>> lists = {
+      RandomSortedList(5000, domain, TestSeed(31)),
+      RandomSortedList(5000, 9000, TestSeed(32)), run};
+  for (const auto& v : lists) {
+    auto set = ef.Encode(v, domain);
+    ExpectPefMatchesReference(ef, 0, static_cast<const PefCodec::Set&>(*set),
+                              v, domain);
+  }
+  // Whole-list EF with every low-bit width, through the chunked paths.
+  for (int l : {0, 5, 17, 31}) {
+    SCOPED_TRACE(l);
+    std::vector<uint32_t> v =
+        RandomSortedList(1500, uint64_t{1} << std::min(32, l + 12),
+                         TestSeed(40 + l));
+    auto set = EncodeAllEf(v, v.size(), l);
+    ExpectPefMatchesReference(ef, 0, *set, v, uint64_t{1} << 32);
+  }
+  for (size_t partition_size : {0, 128}) {
+    const PefCodec codec(partition_size);
+    auto set = codec.Encode({}, domain);
+    ExpectPefMatchesReference(codec, partition_size,
+                              static_cast<const PefCodec::Set&>(*set), {},
+                              domain);
+  }
+}
+
+// Two neighbouring values swapped inside one EF high bucket keep every
+// structural count and the partition's first and last; only the replay's
+// monotonicity check sees them, including across the replay's 256-value
+// chunks.
+TEST(PefKernelTest, ValidationRejectsSwappedLowBits) {
+  const uint64_t domain = uint64_t{1} << 20;
+  std::vector<uint32_t> v(600);
+  for (uint32_t i = 0; i < v.size(); ++i) v[i] = 1000 + 5 * i;
+  for (size_t partition_size : {0, 128}) {
+    const PefCodec codec(partition_size);
+    for (size_t at : {100, 255, 300, 511}) {
+      // Swaps across a 128-value partition boundary change the partition
+      // table and fail structurally instead.
+      if (partition_size != 0 && (at + 1) % partition_size == 0) continue;
+      SCOPED_TRACE(at);
+      std::vector<uint32_t> swapped = v;
+      std::swap(swapped[at], swapped[at + 1]);
+      // l = 12 puts every offset (< 3000) in high bucket 0.
+      auto set = EncodeAllEf(swapped, RefSpan(partition_size, v.size()), 12);
+      EXPECT_FALSE(RefPefValid(*set, domain, partition_size));
+      std::vector<uint8_t> image;
+      codec.Serialize(*set, &image);
+      auto checked = codec.DeserializeChecked(image, domain);
+      ASSERT_FALSE(checked.ok());
+      EXPECT_NE(checked.status().ToString().find("not strictly increasing"),
+                std::string::npos)
+          << checked.status().ToString();
+    }
+  }
+}
+
+// Seeded mutations of PEF images: DeserializeChecked must accept exactly the
+// images the reference validator accepts, and decode those to the
+// reference's values.
+TEST(PefKernelTest, CheckedParseAgreesWithReferenceOnMutations) {
+  const PefCodec pef;
+  const PefCodec ef(0, "EF");
+  const uint64_t domain = uint64_t{1} << 22;
+  struct Base {
+    const PefCodec* codec;
+    size_t partition_size;
+    std::vector<uint8_t> image;
+  };
+  std::vector<Base> bases;
+  auto add = [&](const PefCodec* codec, size_t ps, const CompressedSet& set) {
+    Base b{codec, ps, {}};
+    codec->Serialize(set, &b.image);
+    bases.push_back(std::move(b));
+  };
+  std::vector<uint32_t> mixed;
+  for (uint32_t i = 0; i < 200; ++i) mixed.push_back(50 + i);
+  for (uint32_t x : RandomSortedList(300, 700, TestSeed(51))) {
+    mixed.push_back(1000 + x);
+  }
+  for (uint32_t x : RandomSortedList(400, 1 << 21, TestSeed(52))) {
+    mixed.push_back(2000 + x);
+  }
+  add(&pef, 128, *pef.Encode(mixed, domain));
+  add(&ef, 0, *ef.Encode(RandomSortedList(700, domain, TestSeed(53)), domain));
+  add(&ef, 0, *ef.Encode(RandomSortedList(600, 1500, TestSeed(54)), domain));
+  add(&pef, 128,
+      *EncodeAllEf(RandomSortedList(300, domain, TestSeed(55)), 128, 3));
+
+  Prng rng(TestSeed(0x9ef));
+  const int kIters = 12000;
+  int accepted = 0, unordered = 0;
+  for (int it = 0; it < kIters; ++it) {
+    const Base& base = bases[rng.NextBounded(bases.size())];
+    std::vector<uint8_t> image = base.image;
+    const int flips = 1 + static_cast<int>(rng.NextBounded(3));
+    for (int f = 0; f < flips; ++f) {
+      // Mostly one flipped bit anywhere; sometimes a whole byte replaced.
+      const size_t at = rng.NextBounded(image.size());
+      if (rng.NextBounded(4) == 0) {
+        image[at] = static_cast<uint8_t>(rng.Next());
+      } else {
+        image[at] ^= static_cast<uint8_t>(1u << rng.NextBounded(8));
+      }
+    }
+    auto checked = base.codec->DeserializeChecked(image, domain);
+    auto parsed = base.codec->Deserialize(image.data(), image.size());
+    if (parsed == nullptr) {
+      EXPECT_FALSE(checked.ok()) << "iteration " << it;
+      continue;
+    }
+    const auto& s = static_cast<const PefCodec::Set&>(*parsed);
+    const bool want = RefPefValid(s, domain, base.partition_size);
+    ASSERT_EQ(checked.ok(), want)
+        << "iteration " << it << ": "
+        << (checked.ok() ? "accepted" : checked.status().ToString());
+    if (!want) {
+      if (checked.status().ToString().find("not strictly increasing") !=
+          std::string::npos) {
+        ++unordered;
+      }
+      continue;
+    }
+    ++accepted;
+    std::vector<uint32_t> out;
+    base.codec->Decode(**checked, &out);
+    ASSERT_EQ(out, RefPefDecode(s, RefSpan(base.partition_size, s.count)))
+        << "iteration " << it;
+  }
+  // The campaign must reach both outcomes, and the monotonicity check
+  // specifically (flipped EF low bits that keep every structural count).
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(unordered, 0);
 }
 
 // --- List (uncompressed) ---------------------------------------------------------
