@@ -3,11 +3,18 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "benchutil/host_probe.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/trace_export.h"
 
 namespace intcomp {
+namespace {
+
+// Probe samples taken before and after the bench body (~2 ms each side).
+constexpr int kHostProbeSamples = 32;
+
+}  // namespace
 
 BenchMetrics::BenchMetrics(std::string bench_name, const Flags& flags)
     : bench_name_(std::move(bench_name)),
@@ -33,6 +40,7 @@ BenchMetrics::BenchMetrics(std::string bench_name, const Flags& flags)
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   reg.Reset();
   reg.SetEnabled(true);
+  RecordHostProbe(kHostProbeSamples);
 }
 
 BenchMetrics::~BenchMetrics() {
@@ -49,6 +57,7 @@ BenchMetrics::~BenchMetrics() {
                 trace_out_path_.c_str());
   }
   if (!enabled()) return;
+  RecordHostProbe(kHostProbeSamples);
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   reg.SetEnabled(false);
   if (!reg.ExportToFile(out_path_, format_, bench_name_)) {

@@ -42,6 +42,7 @@ std::string_view OpKindName(OpKind op) {
     case OpKind::kPlannerBuild: return "planner_build";
     case OpKind::kPlannerQuery: return "planner_query";
     case OpKind::kNetRequest: return "net_request";
+    case OpKind::kHostProbe: return "host_probe";
   }
   return "unknown";
 }
