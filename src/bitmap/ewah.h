@@ -72,6 +72,9 @@ struct EwahTraits {
 
   static void EncodeWords(std::span<const uint32_t> sorted,
                           std::vector<uint32_t>* words);
+  // words->size() EncodeWords would produce, from the same encoder run
+  // against a counting sink.
+  static size_t CountWords(std::span<const uint32_t> sorted);
 
   // Verifies that every marker's literal count stays inside the stream —
   // the one read the Decoder cannot bound by itself (`seg->literal = *p_++`

@@ -12,6 +12,9 @@
 //     };
 //     static void EncodeWords(std::span<const uint32_t> sorted,
 //                             std::vector<Word>* words);
+//     // Optional: the word count EncodeWords would produce, without
+//     // building the words; makes EncodedSize closed form.
+//     static size_t CountWords(std::span<const uint32_t> sorted);
 //   };
 //
 // and RleBitmapCodec<FooTraits> provides the full Codec interface by running
@@ -65,6 +68,15 @@ class RleBitmapCodec final : public Codec {
     Traits::EncodeWords(sorted, &words);
     set->words = VArray<Word>(std::move(words));
     return set;
+  }
+
+  size_t EncodedSize(std::span<const uint32_t> sorted,
+                     uint64_t domain) const override {
+    if constexpr (requires { Traits::CountWords(sorted); }) {
+      return Traits::CountWords(sorted) * sizeof(Word);
+    } else {
+      return Codec::EncodedSize(sorted, domain);
+    }
   }
 
   void Decode(const CompressedSet& set,

@@ -149,6 +149,26 @@ void UnionContainers(const Set& sa, const Container& ca, const Set& sb,
   }
 }
 
+// One past the last index of the container (values sharing sorted[i]'s
+// high 16 bits) that starts at index i. Gallops, then binary searches, so
+// the cost is logarithmic in the container's cardinality, not the list's.
+size_t ContainerEnd(std::span<const uint32_t> sorted, size_t i) {
+  const uint32_t key = sorted[i] >> 16;
+  const auto same_key = [key](uint32_t v) { return (v >> 16) == key; };
+  size_t lo = i + 1;  // [i, lo) is known to be in the container
+  size_t step = 1;
+  while (lo + step <= sorted.size() && same_key(sorted[lo + step - 1])) {
+    lo += step;
+    step *= 2;
+  }
+  const size_t hi = std::min(lo + step - 1, sorted.size());
+  return static_cast<size_t>(
+      std::partition_point(sorted.begin() + static_cast<ptrdiff_t>(lo),
+                           sorted.begin() + static_cast<ptrdiff_t>(hi),
+                           same_key) -
+      sorted.begin());
+}
+
 }  // namespace
 
 std::unique_ptr<CompressedSet> RoaringCodec::Encode(
@@ -158,8 +178,7 @@ std::unique_ptr<CompressedSet> RoaringCodec::Encode(
   size_t i = 0;
   while (i < sorted.size()) {
     const uint16_t key = static_cast<uint16_t>(sorted[i] >> 16);
-    size_t j = i;
-    while (j < sorted.size() && (sorted[j] >> 16) == key) ++j;
+    const size_t j = ContainerEnd(sorted, i);
     const uint32_t n = static_cast<uint32_t>(j - i);
     Container c;
     c.key = key;
@@ -184,6 +203,18 @@ std::unique_ptr<CompressedSet> RoaringCodec::Encode(
     i = j;
   }
   return set;
+}
+
+size_t RoaringCodec::EncodedSize(std::span<const uint32_t> sorted,
+                                 uint64_t /*domain*/) const {
+  size_t bytes = 0;
+  for (size_t i = 0; i < sorted.size();) {
+    const size_t j = ContainerEnd(sorted, i);
+    const size_t n = j - i;
+    bytes += 4 + (n > kArrayMax ? kBitmapWords * 8 : n * 2);
+    i = j;
+  }
+  return bytes;
 }
 
 void RoaringCodec::Decode(const CompressedSet& set,

@@ -55,6 +55,10 @@ class RoaringCodec final : public Codec {
 
   std::unique_ptr<CompressedSet> Encode(std::span<const uint32_t> sorted,
                                         uint64_t domain) const override;
+  // Sums the per-container footprints SizeInBytes charges, walking the
+  // same container boundaries Encode does.
+  size_t EncodedSize(std::span<const uint32_t> sorted,
+                     uint64_t domain) const override;
   void Decode(const CompressedSet& set,
               std::vector<uint32_t>* out) const override;
   void Intersect(const CompressedSet& a, const CompressedSet& b,

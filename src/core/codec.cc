@@ -7,6 +7,11 @@
 
 namespace intcomp {
 
+size_t Codec::EncodedSize(std::span<const uint32_t> sorted,
+                          uint64_t domain) const {
+  return Encode(sorted, domain)->SizeInBytes();
+}
+
 StatusOr<std::unique_ptr<CompressedSet>> Codec::DeserializeChecked(
     std::span<const uint8_t> image, uint64_t domain) const {
   TRACE_SPAN("deserialize_checked");

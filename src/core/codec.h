@@ -80,6 +80,15 @@ class Codec {
   virtual std::unique_ptr<CompressedSet> Encode(
       std::span<const uint32_t> sorted, uint64_t domain) const = 0;
 
+  // Exact byte footprint Encode(sorted, domain) would have, i.e. always
+  // == Encode(sorted, domain)->SizeInBytes(). The default encodes and
+  // measures. Codecs a per-list selector sizes often (PlannerCodec's
+  // trials) override it with a closed form derived from the same layout
+  // decisions their encoder makes, so sizing allocates nothing and writes
+  // no payload.
+  virtual size_t EncodedSize(std::span<const uint32_t> sorted,
+                             uint64_t domain) const;
+
   // Decompresses `set` into `out` (cleared first).
   virtual void Decode(const CompressedSet& set,
                       std::vector<uint32_t>* out) const = 0;

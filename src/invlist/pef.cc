@@ -33,6 +33,26 @@ size_t EfWords(uint64_t u, size_t n, int l) {
   return WordsForBits(static_cast<uint64_t>(n) * l) + WordsForBits(high_bits);
 }
 
+// The container Encode picks for n values whose offsets span [0, universe]:
+// a run when they are consecutive, else the smaller of a bitmap and EF
+// (ties go to the bitmap), with its size in data words.
+struct PartitionLayout {
+  PefCodec::PartitionType type;
+  int low_bits;
+  size_t words;
+};
+
+PartitionLayout ChooseLayout(uint64_t universe, size_t n) {
+  if (universe == n - 1) return {PefCodec::PartitionType::kRun, 0, 0};
+  const int l = EfLowBits(universe, n);
+  const size_t ef_words = EfWords(universe, n, l);
+  const size_t bm_words = WordsForBits(universe + 1);
+  if (bm_words <= ef_words) {
+    return {PefCodec::PartitionType::kBitmap, 0, bm_words};
+  }
+  return {PefCodec::PartitionType::kEliasFano, l, ef_words};
+}
+
 // One partition's metadata plus where its container lies in `data`.
 struct PartitionRef {
   PartitionRef() : part{} {}
@@ -356,27 +376,15 @@ std::unique_ptr<CompressedSet> PefCodec::Encode(
     part.last = sorted[i + n - 1];
     part.offset = static_cast<uint32_t>(set->data.size());
     const uint64_t universe = part.last - part.first;  // offsets in [0, universe]
-
-    if (universe == n - 1) {
-      part.type = PartitionType::kRun;
-      part.low_bits = 0;
-      set->parts.push_back(part);
-      continue;
-    }
-
-    const int l = EfLowBits(universe, n);
-    const size_t ef_words = EfWords(universe, n, l);
-    const size_t bm_words = WordsForBits(universe + 1);
-    if (bm_words <= ef_words) {
-      part.type = PartitionType::kBitmap;
-      part.low_bits = 0;
-      set->data.resize(part.offset + bm_words, 0);
+    const PartitionLayout layout = ChooseLayout(universe, n);
+    part.type = layout.type;
+    part.low_bits = static_cast<uint8_t>(layout.low_bits);
+    set->data.resize(part.offset + layout.words, 0);
+    if (layout.type == PartitionType::kBitmap) {
       uint32_t* words = set->data.data() + part.offset;
       for (size_t k = 0; k < n; ++k) SetBit(words, sorted[i + k] - part.first);
-    } else {
-      part.type = PartitionType::kEliasFano;
-      part.low_bits = static_cast<uint8_t>(l);
-      set->data.resize(part.offset + ef_words, 0);
+    } else if (layout.type == PartitionType::kEliasFano) {
+      const int l = layout.low_bits;
       uint32_t* low = set->data.data() + part.offset;
       uint32_t* high =
           low + WordsForBits(static_cast<uint64_t>(n) * l);
@@ -390,6 +398,17 @@ std::unique_ptr<CompressedSet> PefCodec::Encode(
   }
   set->data.shrink_to_fit();
   return set;
+}
+
+size_t PefCodec::EncodedSize(std::span<const uint32_t> sorted,
+                             uint64_t /*domain*/) const {
+  const size_t span = PartitionSpan(sorted.size());
+  size_t words = 0, parts = 0;
+  for (size_t i = 0; i < sorted.size(); i += span, ++parts) {
+    const size_t n = std::min(span, sorted.size() - i);
+    words += ChooseLayout(sorted[i + n - 1] - sorted[i], n).words;
+  }
+  return Set::Footprint(words, parts);
 }
 
 void PefCodec::Decode(const CompressedSet& set,

@@ -50,11 +50,14 @@ class PefCodec final : public Codec {
     std::vector<Partition> parts;
     size_t count = 0;
 
+    // 4 (first) + 4 (offset) + 1 (type) + 1 (l) + 4 (last) bytes of
+    // metadata per partition; real PEF compresses this upper level too,
+    // which we charge at face value.
+    static size_t Footprint(size_t data_words, size_t num_parts) {
+      return data_words * 4 + num_parts * 14;
+    }
     size_t SizeInBytes() const override {
-      // 4 (first) + 4 (offset) + 1 (type) + 1 (l) + 4 (last) bytes of
-      // metadata per partition; real PEF compresses this upper level too,
-      // which we charge at face value.
-      return data.size() * 4 + parts.size() * 14;
+      return Footprint(data.size(), parts.size());
     }
     size_t Cardinality() const override { return count; }
   };
@@ -64,6 +67,9 @@ class PefCodec final : public Codec {
 
   std::unique_ptr<CompressedSet> Encode(std::span<const uint32_t> sorted,
                                         uint64_t domain) const override;
+  // Per partition, the container size Encode's layout choice yields.
+  size_t EncodedSize(std::span<const uint32_t> sorted,
+                     uint64_t domain) const override;
   void Decode(const CompressedSet& set,
               std::vector<uint32_t>* out) const override;
   void Intersect(const CompressedSet& a, const CompressedSet& b,

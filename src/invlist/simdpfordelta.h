@@ -24,6 +24,9 @@ namespace intcomp {
 namespace simdpfor_internal {
 void EncodeBlockImpl(const uint32_t* in, size_t n, int threshold_percent,
                      std::vector<uint8_t>* out);
+// Bytes EncodeBlockImpl would append, from the same width/exception plan.
+size_t EncodedBlockBytesImpl(const uint32_t* in, size_t n,
+                             int threshold_percent);
 size_t DecodeBlockImpl(const uint8_t* data, size_t n, uint32_t* out);
 bool CheckedDecodeBlockImpl(const uint8_t* data, size_t avail, size_t n,
                             uint32_t* out, size_t* consumed);
@@ -58,6 +61,9 @@ struct SimdPforDeltaStarTraits {
   static void EncodeBlock(const uint32_t* in, size_t n,
                           std::vector<uint8_t>* out) {
     simdpfor_internal::EncodeBlockImpl(in, n, 100, out);
+  }
+  static size_t EncodedBlockBytes(const uint32_t* in, size_t n) {
+    return simdpfor_internal::EncodedBlockBytesImpl(in, n, 100);
   }
   static size_t DecodeBlock(const uint8_t* data, size_t n, uint32_t* out) {
     return simdpfor_internal::DecodeBlockImpl(data, n, out);

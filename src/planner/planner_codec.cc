@@ -59,18 +59,20 @@ uint8_t PlannerCodec::SelectCodec(
     *encoded = pool_[tag]->Encode(sorted, domain);
     return tag;
   }
-  // Trial encode: smallest image wins, lowest pool index breaks ties —
+  // Size-first trial: every candidate's exact image size (EncodedSize, no
+  // image built), smallest wins, lowest pool index breaks ties —
   // deterministic, and by construction no single pool member beats the
-  // per-list minimum in total size.
+  // per-list minimum in total size. Only the winner is encoded.
   uint8_t best = 0;
-  for (size_t i = 0; i < pool_.size(); ++i) {
-    auto candidate = pool_[i]->Encode(sorted, domain);
-    if (*encoded == nullptr ||
-        candidate->SizeInBytes() < (*encoded)->SizeInBytes()) {
-      *encoded = std::move(candidate);
+  size_t best_bytes = pool_[0]->EncodedSize(sorted, domain);
+  for (size_t i = 1; i < pool_.size(); ++i) {
+    const size_t bytes = pool_[i]->EncodedSize(sorted, domain);
+    if (bytes < best_bytes) {
+      best_bytes = bytes;
       best = static_cast<uint8_t>(i);
     }
   }
+  *encoded = pool_[best]->Encode(sorted, domain);
   return best;
 }
 

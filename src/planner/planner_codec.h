@@ -6,10 +6,11 @@
 // list best, so an index never pays a whole-index codec's worst case on
 // lists the other family wins. Two selection modes:
 //
-//   kTrialEncode (default) — encode with every candidate, keep the
-//     smallest image (deterministic tie-break: lowest pool index). Optimal
-//     for space by construction: the index's total size is <= the total
-//     under any single pool member.
+//   kTrialEncode (default) — size every candidate exactly
+//     (Codec::EncodedSize, which builds no image), pick the smallest
+//     (deterministic tie-break: lowest pool index) and encode only that
+//     one. Optimal for space by construction: the index's total size is <=
+//     the total under any single pool member.
 //   kStats — pick from the measured density/run statistics alone (the
 //     paper's §7.1 rules, no trial encodes): dense or strongly-clustered
 //     lists go to the bitmap side, sparse lists to the list side.

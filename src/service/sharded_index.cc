@@ -1,7 +1,5 @@
 #include "service/sharded_index.h"
 
-#include <sched.h>
-
 #include <algorithm>
 #include <atomic>
 #include <cassert>
@@ -10,26 +8,13 @@
 #include <system_error>
 #include <thread>
 
+#include "common/usable_cpus.h"
 #include "index/bitmap_index.h"
 #include "obs/explain.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace intcomp {
-namespace {
-
-// CPUs this process may run on: its affinity mask, which taskset and
-// container CPU sets narrow, unlike hardware_concurrency(). At least 1.
-size_t UsableCpus() {
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
-    return std::max(1, CPU_COUNT(&set));
-  }
-  return std::max(1u, std::thread::hardware_concurrency());
-}
-
-}  // namespace
 
 void ShardedIndex::AdoptShard(
     std::vector<std::unique_ptr<CompressedSet>> sets) {

@@ -1,6 +1,8 @@
 // Unit tests for the common substrate: bit utilities, scalar bit packing,
 // SIMD packing, prefix sums, VByte, and the PRNG.
 
+#include <sched.h>
+
 #include <cstdint>
 #include <cstring>
 #include <numeric>
@@ -15,6 +17,7 @@
 #include "common/simdpack.h"
 #include "common/simdpack256.h"
 #include "common/status.h"
+#include "common/usable_cpus.h"
 #include "common/vbyte_raw.h"
 #include "test_util.h"
 
@@ -320,6 +323,21 @@ TEST(PrngTest, RoughlyUniform) {
     EXPECT_GT(b, 9000);
     EXPECT_LT(b, 11000);
   }
+}
+
+// UsableCpus follows the affinity mask (what `taskset -c 0` sets), not
+// hardware_concurrency(). Pins this thread to its current CPU and back.
+TEST(UsableCpusTest, FollowsTheAffinityMask) {
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(UsableCpus(), static_cast<size_t>(CPU_COUNT(&saved)));
+
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(sched_getcpu(), &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  EXPECT_EQ(UsableCpus(), 1u);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 // and a small-query stress run to shake out races. This binary is the one
 // the INTCOMP_SANITIZE=thread CI job exercises.
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
@@ -16,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "common/prng.h"
+#include "common/usable_cpus.h"
 #include "core/registry.h"
 #include "engine/batch_executor.h"
 #include "engine/thread_pool.h"
@@ -88,6 +91,26 @@ EncodedWorkload Encode(const Codec& codec, const Workload& w) {
 }
 
 // ---------------------------------------------------------------- ThreadPool
+
+// ThreadPool(0) sizes itself from the affinity mask: one worker under a
+// one-CPU mask (as under `taskset -c 0`), whatever the machine has.
+TEST(ThreadPoolTest, ZeroThreadsFollowsTheAffinityMask) {
+  {
+    ThreadPool pool(0);
+    EXPECT_EQ(pool.NumWorkers(), UsableCpus());
+  }
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(sched_getcpu(), &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  {
+    ThreadPool pool(0);
+    EXPECT_EQ(pool.NumWorkers(), 1u);
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+}
 
 TEST(ThreadPoolTest, RunsEverySubmittedTaskExactlyOnce) {
   ThreadPool pool(4);
