@@ -11,12 +11,14 @@
 #include "bitmap/bitset.h"
 #include "bitmap/concise.h"
 #include "bitmap/ewah.h"
+#include "bitmap/group_builder.h"
 #include "bitmap/plwah.h"
 #include "bitmap/roaring.h"
 #include "bitmap/sbh.h"
 #include "bitmap/valwah.h"
 #include "bitmap/wah.h"
 #include "test_util.h"
+#include "workload/synthetic.h"
 
 namespace intcomp {
 namespace {
@@ -84,6 +86,79 @@ TEST(EwahTest, FillRunLongerThan65535Splits) {
   ASSERT_EQ(words.size(), 5u);
   EXPECT_EQ(words[2], EwahTraits::MakeMarker(false, 65535, 0));
   EXPECT_EQ(words[3], EwahTraits::MakeMarker(false, 70000 - 1 - 65535, 1));
+}
+
+// EWAH's encoder as first written: one report per non-empty group; a zero
+// or all-ones payload extends the current fill, any other is a literal.
+std::vector<uint32_t> ReferenceEwahWords(std::span<const uint32_t> sorted) {
+  std::vector<uint32_t> words, literals;
+  uint64_t fill_count = 0;
+  bool fill_bit = false;
+  const auto flush = [&] {
+    for (; fill_count > EwahTraits::kMaxFill;
+         fill_count -= EwahTraits::kMaxFill) {
+      words.push_back(EwahTraits::MakeMarker(fill_bit, EwahTraits::kMaxFill, 0));
+    }
+    if (fill_count == 0 && literals.empty()) return;
+    words.push_back(EwahTraits::MakeMarker(
+        fill_bit, static_cast<uint32_t>(fill_count),
+        static_cast<uint32_t>(literals.size())));
+    words.insert(words.end(), literals.begin(), literals.end());
+    fill_count = 0;
+    literals.clear();
+  };
+  const auto add_fill = [&](bool bit, uint64_t n) {
+    if (n == 0) return;
+    if (!literals.empty() || (fill_count > 0 && fill_bit != bit)) flush();
+    fill_bit = bit;
+    fill_count += n;
+  };
+  ForEachGroup(sorted, 32, [&](uint64_t zero_gap, uint32_t payload) {
+    add_fill(false, zero_gap);
+    if (payload == 0 || payload == ~uint32_t{0}) {
+      add_fill(payload != 0, 1);
+    } else {
+      literals.push_back(payload);
+      if (literals.size() == EwahTraits::kMaxLiterals) flush();
+    }
+  });
+  flush();
+  return words;
+}
+
+// The encoder adds a stretch of full groups as one fill and a run of dirty
+// groups in one scan; its words and its count must match the reference.
+TEST(EwahTest, WordsMatchAGroupByGroupReference) {
+  std::vector<std::vector<uint32_t>> lists = {{}, {0}, {31}, {0, 31, 32}};
+  // Dirty, full, dirty, full, full, dirty groups back to back; then a full
+  // group cut one value short at the end of the list.
+  std::vector<uint32_t> mixed = {3};
+  for (uint32_t v = 32; v < 64; ++v) mixed.push_back(v);
+  mixed.push_back(70);
+  for (uint32_t v = 96; v < 160; ++v) mixed.push_back(v);
+  mixed.push_back(161);
+  for (uint32_t v = 192; v < 223; ++v) mixed.push_back(v);
+  lists.push_back(mixed);
+  // kMaxLiterals + 3 adjacent dirty groups.
+  std::vector<uint32_t> dirty;
+  for (uint32_t g = 0; g < EwahTraits::kMaxLiterals + 3; ++g) {
+    dirty.push_back(32 * g + 1 + g % 29);
+  }
+  lists.push_back(dirty);
+  uint64_t seed = TestSeed(5150);
+  for (uint64_t n : {100, 3000, 20000, 32000}) {
+    lists.push_back(GenerateUniform(n, 1 << 16, seed++));
+  }
+  for (double run : {4.0, 40.0, 400.0}) {
+    lists.push_back(GenerateMarkov(1 << 14, 1 << 16, run, seed++));
+    lists.push_back(GenerateMarkov(60000, 1 << 16, run, seed++));
+  }
+  for (size_t i = 0; i < lists.size(); ++i) {
+    std::vector<uint32_t> words;
+    EwahTraits::EncodeWords(lists[i], &words);
+    EXPECT_EQ(words, ReferenceEwahWords(lists[i])) << "list " << i;
+    EXPECT_EQ(EwahTraits::CountWords(lists[i]), words.size()) << "list " << i;
+  }
 }
 
 // --- CONCISE ---------------------------------------------------------------
