@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/bufio.h"
-#include "common/simd_intersect.h"
 
 namespace intcomp {
 
@@ -36,43 +35,14 @@ void HybridCodec::Decode(const CompressedSet& set,
 
 void HybridCodec::Intersect(const CompressedSet& a, const CompressedSet& b,
                             std::vector<uint32_t>* out) const {
-  const auto& sa = static_cast<const Set&>(a);
-  const auto& sb = static_cast<const Set&>(b);
-  if (sa.is_bitmap == sb.is_bitmap) {
-    InnerOf(sa).Intersect(*sa.inner, *sb.inner, out);
-    return;
-  }
-  // Mixed families: decode the smaller side; for skewed sizes probe the
-  // larger through its own skip/bucket structure (SvS step), for similar
-  // sizes merge two decoded lists. The threshold is the planner's shared
-  // policy (common/simd_intersect.h), not a local constant.
-  const Set* small = &sa;
-  const Set* large = &sb;
-  if (small->Cardinality() > large->Cardinality()) std::swap(small, large);
-  std::vector<uint32_t> decoded;
-  InnerOf(*small).Decode(*small->inner, &decoded);
-  if (ChooseIntersectStrategy(small->Cardinality(), large->Cardinality()) ==
-      IntersectStrategy::kMerge) {
-    std::vector<uint32_t> decoded_large;
-    InnerOf(*large).Decode(*large->inner, &decoded_large);
-    IntersectLists(decoded, decoded_large, out);
-    return;
-  }
-  InnerOf(*large).IntersectWithList(*large->inner, decoded, out);
+  IntersectTagged(Tagged(static_cast<const Set&>(a)),
+                  Tagged(static_cast<const Set&>(b)), out);
 }
 
 void HybridCodec::Union(const CompressedSet& a, const CompressedSet& b,
                         std::vector<uint32_t>* out) const {
-  const auto& sa = static_cast<const Set&>(a);
-  const auto& sb = static_cast<const Set&>(b);
-  if (sa.is_bitmap == sb.is_bitmap) {
-    InnerOf(sa).Union(*sa.inner, *sb.inner, out);
-    return;
-  }
-  std::vector<uint32_t> da, db;
-  InnerOf(sa).Decode(*sa.inner, &da);
-  InnerOf(sb).Decode(*sb.inner, &db);
-  UnionLists(da, db, out);
+  UnionTagged(Tagged(static_cast<const Set&>(a)),
+              Tagged(static_cast<const Set&>(b)), out);
 }
 
 void HybridCodec::IntersectWithList(const CompressedSet& a,
@@ -91,9 +61,9 @@ void HybridCodec::Serialize(const CompressedSet& set,
 
 std::unique_ptr<CompressedSet> HybridCodec::Deserialize(const uint8_t* data,
                                                         size_t size) const {
-  if (size < 1) return nullptr;
+  if (size < 1 || data[0] > 1) return nullptr;
   auto set = std::make_unique<Set>();
-  set->is_bitmap = data[0] != 0;
+  set->is_bitmap = data[0] == 1;
   set->inner = (set->is_bitmap ? bitmap_ : list_)
                    ->Deserialize(data + 1, size - 1);
   if (set->inner == nullptr) return nullptr;
@@ -104,8 +74,11 @@ StatusOr<std::unique_ptr<CompressedSet>> HybridCodec::DeserializeChecked(
     std::span<const uint8_t> image, uint64_t domain) const {
   if (image.empty())
     return Status::Corrupt("Hybrid: empty image (missing family tag)");
+  if (image[0] > 1)
+    return Status::Corrupt("Hybrid: family tag is neither 0 (list) nor 1 "
+                           "(bitmap)");
   auto set = std::make_unique<Set>();
-  set->is_bitmap = image[0] != 0;
+  set->is_bitmap = image[0] == 1;
   auto inner = (set->is_bitmap ? bitmap_ : list_)
                    ->DeserializeChecked(image.subspan(1), domain);
   if (!inner.ok()) return inner.status();

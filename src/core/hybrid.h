@@ -4,9 +4,11 @@
 // the domain favors bitmaps; sparse lists favor inverted-list codecs).
 //
 // The default pairing is Roaring (best bitmap, fastest intersection) with
-// SIMDPforDelta* (smallest and among the fastest list codecs). Mixed-family
-// operations fall back to SvS-style probing: decode the smaller side and
-// probe the larger through its own skip structure.
+// SIMDPforDelta* (smallest and among the fastest list codecs). Pairwise
+// operations run the mixed-codec IntersectTagged / UnionTagged over the two
+// inner sets: same-family pairs use the inner codec's compressed operation,
+// mixed-family pairs decode the smaller side and probe the larger through
+// its own skip structure (or merge two decoded lists of similar size).
 
 #ifndef INTCOMP_CORE_HYBRID_H_
 #define INTCOMP_CORE_HYBRID_H_
@@ -17,6 +19,7 @@
 #include <vector>
 
 #include "core/codec.h"
+#include "core/set_ops.h"
 
 namespace intcomp {
 
@@ -72,6 +75,7 @@ class HybridCodec final : public Codec {
   const Codec& InnerOf(const Set& s) const {
     return s.is_bitmap ? *bitmap_ : *list_;
   }
+  TaggedSet Tagged(const Set& s) const { return {&InnerOf(s), s.inner.get()}; }
 
   const Codec* bitmap_;
   const Codec* list_;

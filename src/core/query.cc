@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/set_ops.h"
-#include "invlist/plain_list.h"
 #include "obs/explain.h"
 #include "obs/op_counters.h"
 #include "obs/trace.h"
@@ -11,17 +10,22 @@
 namespace intcomp {
 namespace {
 
-// Observability hooks below are inserted at the same points of Evaluate and
-// EvaluateChecked: they never branch on results, so the checked mirror stays
-// algorithmically line-for-line identical to the trusted path.
 inline void CountDecodedSet(const CompressedSet& set) {
   obs::ThreadOpCounters().bytes_decoded += set.SizeInBytes();
+}
+
+Status CheckLeaf(size_t leaf, std::span<const CompressedSet* const> sets) {
+  if (leaf >= sets.size())
+    return Status::InvalidArgument("plan leaf index out of range");
+  if (sets[leaf] == nullptr)
+    return Status::InvalidArgument("plan references missing input set");
+  return Status::Ok();
 }
 
 // Emits one explain node for a leaf that an AND/OR parent consumes in place
 // (inlined leaves never recurse, so without this they would be invisible and
 // the explain tree would not cover the whole plan).
-inline void ExplainInlineLeaf(const Codec& codec, uint32_t leaf,
+inline void ExplainInlineLeaf(const Codec& codec, size_t leaf,
                               const CompressedSet& set) {
   obs::ExplainScope scope("plan.leaf");
   if (scope.active()) {
@@ -31,250 +35,97 @@ inline void ExplainInlineLeaf(const Codec& codec, uint32_t leaf,
   }
 }
 
-// Writes the plan's result into *out (cleared first). Temporaries are
-// leased from `arena`; `out` itself is caller storage so results can
-// outlive the evaluation.
-void Evaluate(const Codec& codec, const QueryPlan& plan,
-              std::span<const CompressedSet* const> sets, ScratchArena& arena,
-              std::vector<uint32_t>* out) {
-  out->clear();
-  switch (plan.op) {
-    case QueryPlan::Op::kLeaf: {
-      TRACE_SPAN("decode");
-      obs::ExplainScope scope("plan.leaf");
-      if (scope.active()) {
-        scope.AddUint("leaf", plan.leaf);
-        scope.AddUint("card", sets[plan.leaf]->Cardinality());
-        scope.AddStr("codec", codec.SetCodecName(*sets[plan.leaf]));
-      }
-      ++obs::ThreadOpCounters().lists_touched;
-      CountDecodedSet(*sets[plan.leaf]);
-      codec.Decode(*sets[plan.leaf], out);
-      return;
-    }
-    case QueryPlan::Op::kAnd: {
-      obs::ExplainScope scope("plan.and");
-      scope.AddUint("children", plan.children.size());
-      // Materialize non-leaf children; keep leaves compressed for SvS.
-      std::vector<const CompressedSet*> leaves;
-      std::vector<ScratchArena::Lease> materialized;
-      for (const QueryPlan& child : plan.children) {
-        if (child.op == QueryPlan::Op::kLeaf) {
-          ExplainInlineLeaf(codec, child.leaf, *sets[child.leaf]);
-          leaves.push_back(sets[child.leaf]);
-        } else {
-          ScratchArena::Lease sub = arena.Acquire();
-          Evaluate(codec, child, sets, arena, sub.get());
-          materialized.push_back(std::move(sub));
-        }
-      }
-      std::sort(leaves.begin(), leaves.end(),
-                [](const CompressedSet* a, const CompressedSet* b) {
-                  return a->Cardinality() < b->Cardinality();
-                });
-      std::sort(materialized.begin(), materialized.end(),
-                [](const auto& a, const auto& b) { return a->size() < b->size(); });
-      obs::ThreadOpCounters().lists_touched += leaves.size();
-
-      ScratchArena::Lease next = arena.Acquire();
-      size_t li = 0;
-      if (!materialized.empty()) {
-        out->swap(*materialized[0]);
-        // Merge-intersect the other materialized results.
-        for (size_t i = 1; i < materialized.size(); ++i) {
-          IntersectLists(*out, *materialized[i], next.get());
-          out->swap(*next);
-        }
-      } else if (leaves.size() == 1) {
-        CountDecodedSet(*leaves[0]);
-        codec.Decode(*leaves[0], out);
-        li = 1;
-      } else {
-        codec.Intersect(*leaves[0], *leaves[1], out);
-        li = 2;
-      }
-      TRACE_SPAN("svs_probe");
-      for (; li < leaves.size() && !out->empty(); ++li) {
-        // Probe the smaller side: when the running result is much larger
-        // than the leaf (e.g. a wide union ANDed with a selective
-        // predicate), decode the leaf and gallop it into the result instead
-        // of pushing every result element through the leaf's skip index.
-        if (leaves[li]->Cardinality() * 8 < out->size()) {
-          ScratchArena::Lease decoded = arena.Acquire();
-          CountDecodedSet(*leaves[li]);
-          codec.Decode(*leaves[li], decoded.get());
-          GallopIntersect(*decoded, *out, next.get());
-        } else {
-          codec.IntersectWithList(*leaves[li], *out, next.get());
-        }
-        out->swap(*next);
-      }
-      scope.AddUint("rows", out->size());
-      return;
-    }
-    case QueryPlan::Op::kOr:
-    default: {
-      obs::ExplainScope scope("plan.or");
-      scope.AddUint("children", plan.children.size());
-      std::vector<const CompressedSet*> leaves;
-      std::vector<ScratchArena::Lease> materialized;
-      for (const QueryPlan& child : plan.children) {
-        if (child.op == QueryPlan::Op::kLeaf) {
-          ExplainInlineLeaf(codec, child.leaf, *sets[child.leaf]);
-          leaves.push_back(sets[child.leaf]);
-        } else {
-          ScratchArena::Lease sub = arena.Acquire();
-          Evaluate(codec, child, sets, arena, sub.get());
-          materialized.push_back(std::move(sub));
-        }
-      }
-      if (!leaves.empty()) {
-        UnionSets(codec, leaves, &arena, out);
-      }
-      ScratchArena::Lease merged = arena.Acquire();
-      for (const auto& m : materialized) {
-        UnionLists(*out, *m, merged.get());
-        out->swap(*merged);
-      }
-      scope.AddUint("rows", out->size());
-      return;
-    }
-  }
-}
-
-// Status-returning mirror of Evaluate. The per-node algorithm (child
-// ordering, SvS vs. gallop choices) is kept line-for-line identical so that
-// a successful checked evaluation is bit-identical to the trusted path; the
-// only additions are the token poll and leaf/shape validation at node entry.
-Status EvaluateChecked(const Codec& codec, const QueryPlan& plan,
-                       std::span<const CompressedSet* const> sets,
-                       const CancellationToken* token, ScratchArena& arena,
-                       std::vector<uint32_t>* out) {
+// Writes the plan's result into *out (cleared first), validating the plan's
+// shape and polling `token` (may be null) at every node entry and before
+// every SvS probe. Temporaries are leased from `arena`; `out` itself is
+// caller storage so results can outlive the evaluation.
+Status Evaluate(const Codec& codec, const QueryPlan& plan,
+                std::span<const CompressedSet* const> sets,
+                const CancellationToken* token, ScratchArena& arena,
+                std::vector<uint32_t>* out) {
   if (token != nullptr) {
     Status st = token->Check();
     if (!st.ok()) return st;
   }
   out->clear();
-  switch (plan.op) {
-    case QueryPlan::Op::kLeaf: {
-      if (plan.leaf >= sets.size())
-        return Status::InvalidArgument("plan leaf index out of range");
-      if (sets[plan.leaf] == nullptr)
-        return Status::InvalidArgument("plan references missing input set");
-      TRACE_SPAN("decode");
-      obs::ExplainScope scope("plan.leaf");
-      if (scope.active()) {
-        scope.AddUint("leaf", plan.leaf);
-        scope.AddUint("card", sets[plan.leaf]->Cardinality());
-        scope.AddStr("codec", codec.SetCodecName(*sets[plan.leaf]));
-      }
-      ++obs::ThreadOpCounters().lists_touched;
-      CountDecodedSet(*sets[plan.leaf]);
-      codec.Decode(*sets[plan.leaf], out);
-      return Status::Ok();
+  if (plan.op == QueryPlan::Op::kLeaf) {
+    Status st = CheckLeaf(plan.leaf, sets);
+    if (!st.ok()) return st;
+    const CompressedSet& set = *sets[plan.leaf];
+    TRACE_SPAN("decode");
+    obs::ExplainScope scope("plan.leaf");
+    if (scope.active()) {
+      scope.AddUint("leaf", plan.leaf);
+      scope.AddUint("card", set.Cardinality());
+      scope.AddStr("codec", codec.SetCodecName(set));
     }
-    case QueryPlan::Op::kAnd: {
-      if (plan.children.empty())
-        return Status::InvalidArgument("AND node with no children");
-      obs::ExplainScope scope("plan.and");
-      scope.AddUint("children", plan.children.size());
-      std::vector<const CompressedSet*> leaves;
-      std::vector<ScratchArena::Lease> materialized;
-      for (const QueryPlan& child : plan.children) {
-        if (child.op == QueryPlan::Op::kLeaf) {
-          if (child.leaf >= sets.size())
-            return Status::InvalidArgument("plan leaf index out of range");
-          if (sets[child.leaf] == nullptr)
-            return Status::InvalidArgument("plan references missing input set");
-          ExplainInlineLeaf(codec, child.leaf, *sets[child.leaf]);
-          leaves.push_back(sets[child.leaf]);
-        } else {
-          ScratchArena::Lease sub = arena.Acquire();
-          Status st =
-              EvaluateChecked(codec, child, sets, token, arena, sub.get());
-          if (!st.ok()) return st;
-          materialized.push_back(std::move(sub));
-        }
-      }
-      std::sort(leaves.begin(), leaves.end(),
-                [](const CompressedSet* a, const CompressedSet* b) {
-                  return a->Cardinality() < b->Cardinality();
-                });
-      std::sort(materialized.begin(), materialized.end(),
-                [](const auto& a, const auto& b) { return a->size() < b->size(); });
-      obs::ThreadOpCounters().lists_touched += leaves.size();
-
-      ScratchArena::Lease next = arena.Acquire();
-      size_t li = 0;
-      if (!materialized.empty()) {
-        out->swap(*materialized[0]);
-        for (size_t i = 1; i < materialized.size(); ++i) {
-          IntersectLists(*out, *materialized[i], next.get());
-          out->swap(*next);
-        }
-      } else if (leaves.size() == 1) {
-        CountDecodedSet(*leaves[0]);
-        codec.Decode(*leaves[0], out);
-        li = 1;
-      } else {
-        codec.Intersect(*leaves[0], *leaves[1], out);
-        li = 2;
-      }
-      TRACE_SPAN("svs_probe");
-      for (; li < leaves.size() && !out->empty(); ++li) {
-        if (token != nullptr) {
-          Status st = token->Check();
-          if (!st.ok()) return st;
-        }
-        if (leaves[li]->Cardinality() * 8 < out->size()) {
-          ScratchArena::Lease decoded = arena.Acquire();
-          CountDecodedSet(*leaves[li]);
-          codec.Decode(*leaves[li], decoded.get());
-          GallopIntersect(*decoded, *out, next.get());
-        } else {
-          codec.IntersectWithList(*leaves[li], *out, next.get());
-        }
-        out->swap(*next);
-      }
-      scope.AddUint("rows", out->size());
-      return Status::Ok();
-    }
-    case QueryPlan::Op::kOr:
-    default: {
-      if (plan.children.empty())
-        return Status::InvalidArgument("OR node with no children");
-      obs::ExplainScope scope("plan.or");
-      scope.AddUint("children", plan.children.size());
-      std::vector<const CompressedSet*> leaves;
-      std::vector<ScratchArena::Lease> materialized;
-      for (const QueryPlan& child : plan.children) {
-        if (child.op == QueryPlan::Op::kLeaf) {
-          if (child.leaf >= sets.size())
-            return Status::InvalidArgument("plan leaf index out of range");
-          if (sets[child.leaf] == nullptr)
-            return Status::InvalidArgument("plan references missing input set");
-          ExplainInlineLeaf(codec, child.leaf, *sets[child.leaf]);
-          leaves.push_back(sets[child.leaf]);
-        } else {
-          ScratchArena::Lease sub = arena.Acquire();
-          Status st =
-              EvaluateChecked(codec, child, sets, token, arena, sub.get());
-          if (!st.ok()) return st;
-          materialized.push_back(std::move(sub));
-        }
-      }
-      if (!leaves.empty()) {
-        UnionSets(codec, leaves, &arena, out);
-      }
-      ScratchArena::Lease merged = arena.Acquire();
-      for (const auto& m : materialized) {
-        UnionLists(*out, *m, merged.get());
-        out->swap(*merged);
-      }
-      scope.AddUint("rows", out->size());
-      return Status::Ok();
+    ++obs::ThreadOpCounters().lists_touched;
+    CountDecodedSet(set);
+    codec.Decode(set, out);
+    return Status::Ok();
+  }
+  const bool is_and = plan.op == QueryPlan::Op::kAnd;
+  if (plan.children.empty()) {
+    return Status::InvalidArgument(is_and ? "AND node with no children"
+                                          : "OR node with no children");
+  }
+  obs::ExplainScope scope(is_and ? "plan.and" : "plan.or");
+  scope.AddUint("children", plan.children.size());
+  // Leaves stay compressed for SvS / the compressed union; every other
+  // child is materialized into an arena lease.
+  std::vector<TaggedSet> leaves;
+  std::vector<ScratchArena::Lease> materialized;
+  for (const QueryPlan& child : plan.children) {
+    if (child.op == QueryPlan::Op::kLeaf) {
+      Status st = CheckLeaf(child.leaf, sets);
+      if (!st.ok()) return st;
+      ExplainInlineLeaf(codec, child.leaf, *sets[child.leaf]);
+      leaves.push_back({&codec, sets[child.leaf]});
+    } else {
+      ScratchArena::Lease sub = arena.Acquire();
+      Status st = Evaluate(codec, child, sets, token, arena, sub.get());
+      if (!st.ok()) return st;
+      materialized.push_back(std::move(sub));
     }
   }
+  if (is_and) {
+    obs::ThreadOpCounters().lists_touched += leaves.size();
+    // Merge-intersect the materialized results (smallest first), then let
+    // SvS probe the compressed leaves into that running result.
+    std::sort(materialized.begin(), materialized.end(),
+              [](const auto& a, const auto& b) { return a->size() < b->size(); });
+    if (!materialized.empty()) {
+      ScratchArena::Lease next = arena.Acquire();
+      out->swap(*materialized[0]);
+      for (size_t i = 1; i < materialized.size(); ++i) {
+        IntersectLists(*out, *materialized[i], next.get());
+        out->swap(*next);
+      }
+    } else if (leaves.size() == 1) {
+      CountDecodedSet(*leaves[0].set);  // SvsIntersect decodes a lone leaf
+    }
+    Status st = SvsIntersect(
+        leaves, /*seeded=*/!materialized.empty(),
+        [](const TaggedSet& a, const TaggedSet& b, std::vector<uint32_t>* o) {
+          a.codec->Intersect(*a.set, *b.set, o);
+        },
+        token, &arena, out);
+    if (!st.ok()) return st;
+  } else {
+    if (!leaves.empty()) {
+      std::vector<const CompressedSet*> compressed;
+      compressed.reserve(leaves.size());
+      for (const TaggedSet& l : leaves) compressed.push_back(l.set);
+      UnionSets(codec, compressed, &arena, out);
+    }
+    ScratchArena::Lease merged = arena.Acquire();
+    for (const auto& m : materialized) {
+      UnionLists(*out, *m, merged.get());
+      out->swap(*merged);
+    }
+  }
+  scope.AddUint("rows", out->size());
+  return Status::Ok();
 }
 
 }  // namespace
@@ -282,14 +133,14 @@ Status EvaluateChecked(const Codec& codec, const QueryPlan& plan,
 void EvaluatePlan(const Codec& codec, const QueryPlan& plan,
                   std::span<const CompressedSet* const> sets,
                   ScratchArena* arena, std::vector<uint32_t>* out) {
-  Evaluate(codec, plan, sets, *arena, out);
+  if (!Evaluate(codec, plan, sets, nullptr, *arena, out).ok()) out->clear();
 }
 
 std::vector<uint32_t> EvaluatePlan(const Codec& codec, const QueryPlan& plan,
                                    std::span<const CompressedSet* const> sets) {
   ScratchArena arena;
   std::vector<uint32_t> out;
-  Evaluate(codec, plan, sets, arena, &out);
+  EvaluatePlan(codec, plan, sets, &arena, &out);
   return out;
 }
 
@@ -297,7 +148,7 @@ Status EvaluatePlanChecked(const Codec& codec, const QueryPlan& plan,
                            std::span<const CompressedSet* const> sets,
                            const CancellationToken* token, ScratchArena* arena,
                            std::vector<uint32_t>* out) {
-  Status st = EvaluateChecked(codec, plan, sets, token, *arena, out);
+  Status st = Evaluate(codec, plan, sets, token, *arena, out);
   if (!st.ok()) out->clear();
   return st;
 }

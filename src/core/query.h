@@ -42,14 +42,16 @@ struct QueryPlan {
   }
 };
 
-// Evaluates `plan` over the compressed inputs into `out`. AND nodes use SvS
-// over leaf children (keeping them compressed) and probe already-materialized
-// sub-results; OR nodes union leaves on the compressed form first, then
-// merge in materialized sub-results. All intermediate lists are leased from
-// `arena`; only `out`'s own growth allocates, so a caller that keeps one
-// arena across a query stream (e.g. the batch engine's per-worker arenas)
-// pays no per-query temporary allocation. The result is a pure function of
-// (codec, plan, sets) — the arena never changes what is computed.
+// Evaluates `plan` over the compressed inputs into `out`. AND nodes run SvS
+// (core/set_ops.h SvsIntersect) over leaf children, keeping them compressed,
+// and probe them into already-materialized sub-results; OR nodes union
+// leaves on the compressed form first, then merge in materialized
+// sub-results. All intermediate lists are leased from `arena`; only `out`'s
+// own growth allocates, so a caller that keeps one arena across a query
+// stream (e.g. the batch engine's per-worker arenas) pays no per-query
+// temporary allocation. The result is a pure function of (codec, plan,
+// sets) — the arena never changes what is computed. The plan is validated
+// as in EvaluatePlanChecked: an invalid plan yields an empty `out`.
 void EvaluatePlan(const Codec& codec, const QueryPlan& plan,
                   std::span<const CompressedSet* const> sets,
                   ScratchArena* arena, std::vector<uint32_t>* out);
@@ -58,16 +60,17 @@ void EvaluatePlan(const Codec& codec, const QueryPlan& plan,
 std::vector<uint32_t> EvaluatePlan(const Codec& codec, const QueryPlan& plan,
                                    std::span<const CompressedSet* const> sets);
 
-// Fault-contained form of EvaluatePlan: computes bit-identical results on
-// success, but instead of assuming a well-formed plan it returns
+// EvaluatePlan with a status and a cancellation token; both entry points
+// run the same evaluator, so a successful result is identical. Returns
 //   kInvalidArgument   — leaf index out of range, null input set, or an
 //                        AND/OR node with no children;
 //   kCancelled /
-//   kDeadlineExceeded  — `token` tripped (polled at every plan-node entry,
-//                        so latency is bounded by one decode/intersect).
+//   kDeadlineExceeded  — `token` tripped (polled at every plan-node entry
+//                        and before every SvS probe, so latency is bounded
+//                        by one decode/intersect).
 // On any non-OK status `out` is cleared. `token` may be null (no
-// cancellation). The trusted EvaluatePlan stays assert-only; this is the
-// entry point for plans or sets that crossed a trust boundary.
+// cancellation). This is the entry point for plans or sets that crossed a
+// trust boundary.
 Status EvaluatePlanChecked(const Codec& codec, const QueryPlan& plan,
                            std::span<const CompressedSet* const> sets,
                            const CancellationToken* token, ScratchArena* arena,

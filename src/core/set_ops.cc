@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/simd_intersect.h"
+#include "invlist/plain_list.h"
 #include "obs/explain.h"
 #include "obs/metrics.h"
 #include "obs/op_counters.h"
@@ -10,59 +11,30 @@
 
 namespace intcomp {
 
-void IntersectSets(const Codec& codec,
-                   std::span<const CompressedSet* const> sets,
-                   ScratchArena* arena, std::vector<uint32_t>* out) {
-  TRACE_SPAN("intersect_sets");
-  obs::ScopedOpTimer timer(codec.Name(), obs::OpKind::kIntersect);
-  obs::ThreadOpCounters().lists_touched += sets.size();
-  out->clear();
-  if (sets.empty()) return;
-  if (sets.size() == 1) {
-    codec.Decode(*sets[0], out);
-    return;
-  }
-  std::vector<const CompressedSet*> order(sets.begin(), sets.end());
-  std::sort(order.begin(), order.end(),
-            [](const CompressedSet* a, const CompressedSet* b) {
-              return a->Cardinality() < b->Cardinality();
-            });
-  codec.Intersect(*order[0], *order[1], out);
-  ScratchArena::Lease next = arena->Acquire();
-  TRACE_SPAN("svs_probe");
-  for (size_t i = 2; i < order.size() && !out->empty(); ++i) {
-    codec.IntersectWithList(*order[i], *out, next.get());
-    out->swap(*next);
-  }
+namespace {
+
+std::vector<TaggedSet> TagAll(const Codec& codec,
+                              std::span<const CompressedSet* const> sets) {
+  std::vector<TaggedSet> tagged;
+  tagged.reserve(sets.size());
+  for (const CompressedSet* s : sets) tagged.push_back({&codec, s});
+  return tagged;
 }
 
-void UnionSets(const Codec& codec, std::span<const CompressedSet* const> sets,
-               ScratchArena* arena, std::vector<uint32_t>* out) {
-  TRACE_SPAN("union_sets");
-  obs::ScopedOpTimer timer(codec.Name(), obs::OpKind::kUnion);
-  obs::ThreadOpCounters().lists_touched += sets.size();
-  out->clear();
-  if (sets.empty()) return;
-  if (sets.size() == 1) {
-    codec.Decode(*sets[0], out);
-    return;
-  }
-  if (sets.size() == 2) {
-    codec.Union(*sets[0], *sets[1], out);
-    return;
-  }
-  // k-way merge over the decoded lists: one pass instead of k-1 pairwise
-  // passes over the accumulated result.
+// k-way merge over the decoded lists (k > 2): one pass instead of k-1
+// pairwise passes over the accumulated result.
+void HeapUnion(std::span<const TaggedSet> sets, ScratchArena* arena,
+               std::vector<uint32_t>* out) {
   std::vector<ScratchArena::Lease> decoded;
   decoded.reserve(sets.size());
   size_t total = 0;
   {
     TRACE_SPAN("decode");
     obs::OpCounters& oc = obs::ThreadOpCounters();
-    for (size_t i = 0; i < sets.size(); ++i) {
+    for (const TaggedSet& s : sets) {
       decoded.push_back(arena->Acquire());
-      codec.Decode(*sets[i], decoded.back().get());
-      oc.bytes_decoded += sets[i]->SizeInBytes();
+      s.codec->Decode(*s.set, decoded.back().get());
+      oc.bytes_decoded += s.set->SizeInBytes();
       total += decoded.back()->size();
     }
   }
@@ -96,6 +68,81 @@ void UnionSets(const Codec& codec, std::span<const CompressedSet* const> sets,
   }
 }
 
+}  // namespace
+
+Status SvsIntersect(std::span<TaggedSet> sets, bool seeded,
+                    const IntersectPairFn& pair,
+                    const CancellationToken* token, ScratchArena* arena,
+                    std::vector<uint32_t>* out) {
+  std::sort(sets.begin(), sets.end(),
+            [](const TaggedSet& a, const TaggedSet& b) {
+              return a.set->Cardinality() < b.set->Cardinality();
+            });
+  size_t i = 0;
+  if (!seeded) {
+    out->clear();
+    if (sets.empty()) return Status::Ok();
+    if (sets.size() == 1) {
+      sets[0].codec->Decode(*sets[0].set, out);
+      return Status::Ok();
+    }
+    pair(sets[0], sets[1], out);
+    i = 2;
+  }
+  ScratchArena::Lease next = arena->Acquire();
+  TRACE_SPAN("svs_probe");
+  for (; i < sets.size() && !out->empty(); ++i) {
+    if (token != nullptr) {
+      Status st = token->Check();
+      if (!st.ok()) return st;
+    }
+    const TaggedSet& s = sets[i];
+    if (s.set->Cardinality() * kMergeIntersectRatio < out->size()) {
+      ScratchArena::Lease decoded = arena->Acquire();
+      s.codec->Decode(*s.set, decoded.get());
+      obs::ThreadOpCounters().bytes_decoded += s.set->SizeInBytes();
+      GallopIntersect(*decoded, *out, next.get());
+    } else {
+      s.codec->IntersectWithList(*s.set, *out, next.get());
+    }
+    out->swap(*next);
+  }
+  return Status::Ok();
+}
+
+void IntersectSets(const Codec& codec,
+                   std::span<const CompressedSet* const> sets,
+                   ScratchArena* arena, std::vector<uint32_t>* out) {
+  TRACE_SPAN("intersect_sets");
+  obs::ScopedOpTimer timer(codec.Name(), obs::OpKind::kIntersect);
+  obs::ThreadOpCounters().lists_touched += sets.size();
+  std::vector<TaggedSet> tagged = TagAll(codec, sets);
+  (void)SvsIntersect(
+      tagged, /*seeded=*/false,
+      [](const TaggedSet& a, const TaggedSet& b, std::vector<uint32_t>* o) {
+        a.codec->Intersect(*a.set, *b.set, o);
+      },
+      nullptr, arena, out);
+}
+
+void UnionSets(const Codec& codec, std::span<const CompressedSet* const> sets,
+               ScratchArena* arena, std::vector<uint32_t>* out) {
+  TRACE_SPAN("union_sets");
+  obs::ScopedOpTimer timer(codec.Name(), obs::OpKind::kUnion);
+  obs::ThreadOpCounters().lists_touched += sets.size();
+  out->clear();
+  if (sets.empty()) return;
+  if (sets.size() == 1) {
+    codec.Decode(*sets[0], out);
+    return;
+  }
+  if (sets.size() == 2) {
+    codec.Union(*sets[0], *sets[1], out);
+    return;
+  }
+  HeapUnion(TagAll(codec, sets), arena, out);
+}
+
 void IntersectSets(const Codec& codec,
                    std::span<const CompressedSet* const> sets,
                    std::vector<uint32_t>* out) {
@@ -111,11 +158,7 @@ void UnionSets(const Codec& codec, std::span<const CompressedSet* const> sets,
 
 void DifferenceSets(const Codec& codec, const CompressedSet& a,
                     const CompressedSet& b, std::vector<uint32_t>* out) {
-  std::vector<uint32_t> decoded;
-  codec.Decode(a, &decoded);
-  std::vector<uint32_t> common;
-  codec.IntersectWithList(b, decoded, &common);
-  DifferenceLists(decoded, common, out);
+  DifferenceTagged({&codec, &a}, {&codec, &b}, out);
 }
 
 void IntersectTagged(const TaggedSet& a, const TaggedSet& b,
@@ -179,26 +222,9 @@ void IntersectTaggedSets(std::span<const TaggedSet> sets, ScratchArena* arena,
   obs::ExplainScope scope("set_ops.intersect_tagged_sets");
   scope.AddUint("k", sets.size());
   obs::ThreadOpCounters().lists_touched += sets.size();
-  out->clear();
-  if (sets.empty()) return;
-  if (sets.size() == 1) {
-    sets[0].codec->Decode(*sets[0].set, out);
-    return;
-  }
-  std::vector<const TaggedSet*> order;
-  order.reserve(sets.size());
-  for (const TaggedSet& s : sets) order.push_back(&s);
-  std::sort(order.begin(), order.end(),
-            [](const TaggedSet* a, const TaggedSet* b) {
-              return a->set->Cardinality() < b->set->Cardinality();
-            });
-  IntersectTagged(*order[0], *order[1], out);
-  ScratchArena::Lease next = arena->Acquire();
-  TRACE_SPAN("svs_probe");
-  for (size_t i = 2; i < order.size() && !out->empty(); ++i) {
-    order[i]->codec->IntersectWithList(*order[i]->set, *out, next.get());
-    out->swap(*next);
-  }
+  std::vector<TaggedSet> order(sets.begin(), sets.end());
+  (void)SvsIntersect(order, /*seeded=*/false, IntersectTagged, nullptr, arena,
+                     out);
 }
 
 void UnionTaggedSets(std::span<const TaggedSet> sets, ScratchArena* arena,
@@ -217,47 +243,7 @@ void UnionTaggedSets(std::span<const TaggedSet> sets, ScratchArena* arena,
     UnionTagged(sets[0], sets[1], out);
     return;
   }
-  std::vector<ScratchArena::Lease> decoded;
-  decoded.reserve(sets.size());
-  size_t total = 0;
-  {
-    TRACE_SPAN("decode");
-    obs::OpCounters& oc = obs::ThreadOpCounters();
-    for (const TaggedSet& s : sets) {
-      decoded.push_back(arena->Acquire());
-      s.codec->Decode(*s.set, decoded.back().get());
-      oc.bytes_decoded += s.set->SizeInBytes();
-      total += decoded.back()->size();
-    }
-  }
-  out->reserve(total);
-  struct Cursor {
-    const uint32_t* p;
-    const uint32_t* end;
-  };
-  auto later = [](const Cursor& a, const Cursor& b) { return *a.p > *b.p; };
-  std::vector<Cursor> heap;
-  for (const auto& d : decoded) {
-    if (!d->empty()) heap.push_back({d->data(), d->data() + d->size()});
-  }
-  std::make_heap(heap.begin(), heap.end(), later);
-  uint32_t last = 0;
-  bool have_last = false;
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), later);
-    Cursor& c = heap.back();
-    const uint32_t v = *c.p++;
-    if (!have_last || v != last) {
-      out->push_back(v);
-      last = v;
-      have_last = true;
-    }
-    if (c.p == c.end) {
-      heap.pop_back();
-    } else {
-      std::push_heap(heap.begin(), heap.end(), later);
-    }
-  }
+  HeapUnion(sets, arena, out);
 }
 
 void DifferenceTagged(const TaggedSet& a, const TaggedSet& b,

@@ -3,19 +3,55 @@
 // Intersection follows SvS (paper §4.3, [14]): sort the lists by size,
 // intersect the two smallest (the codec switches between merge-based and
 // skip-based internally), then probe each remaining compressed list with the
-// running uncompressed result. Union decompresses and merges linearly
-// (App. B.2).
+// running uncompressed result. Union of two sets uses the codec's own
+// compressed Union; more than two are decoded and merged in one k-way heap
+// pass (App. B.2). Every conjunctive entry point — the single-codec and
+// mixed-codec drivers here, the planner's PlannedIntersectSets and the plan
+// evaluator's AND node — runs the one SvsIntersect loop below; both union
+// drivers share one heap merge.
 
 #ifndef INTCOMP_CORE_SET_OPS_H_
 #define INTCOMP_CORE_SET_OPS_H_
 
+#include <functional>
 #include <span>
 #include <vector>
 
+#include "core/cancel.h"
 #include "core/codec.h"
 #include "core/scratch.h"
 
 namespace intcomp {
+
+// A compressed set paired with the codec that encodes it — the operand unit
+// of mixed-codec set operations, where every list may use a different
+// representation (the planner's per-list codec choice). Single-codec
+// operations tag every set with the same codec.
+struct TaggedSet {
+  const Codec* codec = nullptr;
+  const CompressedSet* set = nullptr;
+};
+
+// One pairwise intersection step: out = a AND b.
+using IntersectPairFn = std::function<void(
+    const TaggedSet& a, const TaggedSet& b, std::vector<uint32_t>* out)>;
+
+// The SvS driver. Sorts `sets` in place by cardinality. When `seeded`,
+// *out already holds a materialized running result and every set is probed
+// into it; otherwise k == 0 clears `out`, k == 1 decodes, and k >= 2 runs
+// `pair` on the two smallest sets. Each remaining set is then probed with
+// the running result until it empties. The probe side follows Lemire et
+// al.'s ratio rule (kMergeIntersectRatio): a set far smaller than the
+// running result — possible only after a seeded start, e.g. a wide union
+// ANDed with a selective leaf — is decoded and galloped into the result;
+// any other set keeps its compressed form and is probed through its own
+// skip/bucket structure (Codec::IntersectWithList). `token` (may be null)
+// is polled before every probe; a tripped token's status is returned with
+// `out` holding a partial result. Intermediate lists come from `arena`.
+Status SvsIntersect(std::span<TaggedSet> sets, bool seeded,
+                    const IntersectPairFn& pair,
+                    const CancellationToken* token, ScratchArena* arena,
+                    std::vector<uint32_t>* out);
 
 // out = sets[0] AND ... AND sets[k-1]. k >= 1 (k == 1 decodes; k == 0
 // clears `out`). Intermediate lists come from `arena`, so a caller that
@@ -37,27 +73,18 @@ void IntersectSets(const Codec& codec,
 void UnionSets(const Codec& codec, std::span<const CompressedSet* const> sets,
                std::vector<uint32_t>* out);
 
-// out = a AND NOT b, as an uncompressed sorted list. Decodes `a` and
-// subtracts the matches found by probing `b` through its skip/bucket
-// structure.
+// out = a AND NOT b, as an uncompressed sorted list: DifferenceTagged with
+// both operands tagged with `codec`.
 void DifferenceSets(const Codec& codec, const CompressedSet& a,
                     const CompressedSet& b, std::vector<uint32_t>* out);
 
 // ------------------------------------------------------------ mixed codec
 //
-// A compressed set paired with the codec that encodes it — the operand unit
-// of mixed-codec set operations, where every list may use a different
-// representation (the planner's per-list codec choice). All operations
-// below are correct for any codec pairing; same-codec pairs use the codec's
-// own compressed operation (bitmap word-AND, skip probing), cross-codec
-// pairs fall back to decode-smaller-probe-larger (the larger side keeps its
-// skip/bucket/bulk-block probing) or a SIMD merge of two decoded lists,
-// per ChooseIntersectStrategy.
-
-struct TaggedSet {
-  const Codec* codec = nullptr;
-  const CompressedSet* set = nullptr;
-};
+// All operations below are correct for any codec pairing; same-codec pairs
+// use the codec's own compressed operation (bitmap word-AND, skip probing),
+// cross-codec pairs fall back to decode-smaller-probe-larger (the larger
+// side keeps its skip/bucket/bulk-block probing) or a SIMD merge of two
+// decoded lists, per ChooseIntersectStrategy.
 
 // out = a AND b across the codec boundary.
 void IntersectTagged(const TaggedSet& a, const TaggedSet& b,
@@ -67,9 +94,8 @@ void IntersectTagged(const TaggedSet& a, const TaggedSet& b,
 void UnionTagged(const TaggedSet& a, const TaggedSet& b,
                  std::vector<uint32_t>* out);
 
-// SvS over k mixed-codec sets: sort by cardinality, intersect the two
-// smallest, probe the rest through each set's own codec. k == 1 decodes,
-// k == 0 clears.
+// SvsIntersect over k mixed-codec sets with IntersectTagged as the pair
+// step. k == 1 decodes, k == 0 clears.
 void IntersectTaggedSets(std::span<const TaggedSet> sets, ScratchArena* arena,
                          std::vector<uint32_t>* out);
 
@@ -77,7 +103,8 @@ void IntersectTaggedSets(std::span<const TaggedSet> sets, ScratchArena* arena,
 void UnionTaggedSets(std::span<const TaggedSet> sets, ScratchArena* arena,
                      std::vector<uint32_t>* out);
 
-// out = a AND NOT b across the codec boundary.
+// out = a AND NOT b across the codec boundary: decodes `a` and subtracts
+// the matches found by probing `b` through its skip/bucket structure.
 void DifferenceTagged(const TaggedSet& a, const TaggedSet& b,
                       std::vector<uint32_t>* out);
 

@@ -236,25 +236,14 @@ void PlannedIntersectSets(std::span<const TaggedSet> sets,
   TRACE_SPAN("planner.intersect");
   obs::ScopedOpTimer timer("Planner", obs::OpKind::kPlannerQuery);
   obs::ThreadOpCounters().lists_touched += sets.size();
-  out->clear();
-  if (sets.empty()) return;
-  if (sets.size() == 1) {
-    sets[0].codec->Decode(*sets[0].set, out);
-    return;
-  }
-  std::vector<const TaggedSet*> order;
-  order.reserve(sets.size());
-  for (const TaggedSet& s : sets) order.push_back(&s);
-  std::sort(order.begin(), order.end(),
-            [](const TaggedSet* a, const TaggedSet* b) {
-              return a->set->Cardinality() < b->set->Cardinality();
-            });
-  PlannedIntersect(*order[0], *order[1], strategy, model, out);
-  ScratchArena::Lease next = arena->Acquire();
-  for (size_t i = 2; i < order.size() && !out->empty(); ++i) {
-    order[i]->codec->IntersectWithList(*order[i]->set, *out, next.get());
-    out->swap(*next);
-  }
+  std::vector<TaggedSet> order(sets.begin(), sets.end());
+  (void)SvsIntersect(
+      order, /*seeded=*/false,
+      [strategy, &model](const TaggedSet& a, const TaggedSet& b,
+                         std::vector<uint32_t>* o) {
+        PlannedIntersect(a, b, strategy, model, o);
+      },
+      nullptr, arena, out);
 }
 
 }  // namespace intcomp::planner

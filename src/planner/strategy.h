@@ -77,10 +77,9 @@ void PlannedIntersect(const TaggedSet& a, const TaggedSet& b,
                       SetOpStrategy strategy, const CostModel& model,
                       std::vector<uint32_t>* out);
 
-// SvS over k mixed-codec sets with a per-step strategy choice: sorts by
-// cardinality, intersects the two smallest via PlannedIntersect, then
-// probes the rest through each set's own codec. Timed under
-// OpKind::kPlannerQuery.
+// SvsIntersect over k mixed-codec sets with PlannedIntersect (a per-step
+// strategy choice) as the pair step; the rest are probed through each
+// set's own codec. Timed under OpKind::kPlannerQuery.
 void PlannedIntersectSets(std::span<const TaggedSet> sets,
                           SetOpStrategy strategy, const CostModel& model,
                           ScratchArena* arena, std::vector<uint32_t>* out);

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -331,31 +332,47 @@ TEST(EvaluatePlanCheckedTest, ValidatesShapeAndMatchesTrustedPath) {
       QueryPlan::And({QueryPlan::Leaf(0), QueryPlan::Leaf(1)});
   ASSERT_TRUE(
       EvaluatePlanChecked(codec, plan, sets, nullptr, &arena, &out).ok());
-  EXPECT_EQ(out, EvaluatePlan(codec, plan, sets));
+  std::vector<uint32_t> oracle;
+  std::set_intersection(la.begin(), la.end(), lb.begin(), lb.end(),
+                        std::back_inserter(oracle));
+  EXPECT_EQ(out, oracle);
+  EXPECT_EQ(EvaluatePlan(codec, plan, sets), oracle);
 
-  // Leaf index out of range.
-  Status st = EvaluatePlanChecked(codec, QueryPlan::Leaf(7), sets, nullptr,
-                                  &arena, &out);
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(out.empty());
-  // Null set slot (an image that failed DeserializeChecked upstream).
+  // Invalid plans: the checked entry reports kInvalidArgument, and the
+  // trusted entry (the same evaluator) returns an empty result instead of
+  // reading past `sets` or an empty child list.
   std::vector<const CompressedSet*> holed = {sa.get(), nullptr};
-  st = EvaluatePlanChecked(
-      codec, QueryPlan::Or({QueryPlan::Leaf(0), QueryPlan::Leaf(1)}), holed,
-      nullptr, &arena, &out);
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  // Operator nodes with no children.
-  st = EvaluatePlanChecked(codec, QueryPlan::And({}), sets, nullptr, &arena,
-                           &out);
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  st = EvaluatePlanChecked(codec, QueryPlan::Or({}), sets, nullptr, &arena,
-                           &out);
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  struct Invalid {
+    QueryPlan plan;
+    const std::vector<const CompressedSet*>* sets;
+  };
+  const Invalid invalid[] = {
+      {QueryPlan::Leaf(7), &sets},  // leaf index out of range
+      {QueryPlan::And({QueryPlan::Leaf(0), QueryPlan::Leaf(7)}), &sets},
+      // Null set slot (an image that failed DeserializeChecked upstream).
+      {QueryPlan::Or({QueryPlan::Leaf(0), QueryPlan::Leaf(1)}), &holed},
+      // Operator nodes with no children.
+      {QueryPlan::And({}), &sets},
+      {QueryPlan::Or({}), &sets},
+      {QueryPlan::And({QueryPlan::Leaf(0), QueryPlan::Or({})}), &sets},
+  };
+  for (size_t i = 0; i < std::size(invalid); ++i) {
+    SCOPED_TRACE(i);
+    out = {1, 2, 3};
+    Status st = EvaluatePlanChecked(codec, invalid[i].plan, *invalid[i].sets,
+                                    nullptr, &arena, &out);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+    EXPECT_TRUE(out.empty());
+    out = {1, 2, 3};
+    EvaluatePlan(codec, invalid[i].plan, *invalid[i].sets, &arena, &out);
+    EXPECT_TRUE(out.empty());
+    EXPECT_TRUE(EvaluatePlan(codec, invalid[i].plan, *invalid[i].sets).empty());
+  }
 
   // A pre-tripped token cancels before any work.
   CancellationToken cancelled;
   cancelled.Cancel();
-  st = EvaluatePlanChecked(codec, plan, sets, &cancelled, &arena, &out);
+  Status st = EvaluatePlanChecked(codec, plan, sets, &cancelled, &arena, &out);
   EXPECT_EQ(st.code(), StatusCode::kCancelled);
   // An already-elapsed deadline reports kDeadlineExceeded.
   CancellationToken past;

@@ -117,6 +117,26 @@ TEST(DeserializeValidationTest, RejectsStructuralGarbage) {
       EXPECT_EQ(codec->Deserialize(image.data(), image.size() / 2), nullptr);
     }
   }
+  // Hybrid's leading family byte is 0 (list) or 1 (bitmap); any other value
+  // is corruption, not "bitmap" — accepting it would re-serialize a
+  // different byte than was read.
+  const Codec* hybrid = FindCodec("Hybrid");
+  ASSERT_NE(hybrid, nullptr);
+  for (const uint32_t universe : {1u << 20, 2000u}) {
+    auto set = hybrid->Encode(RandomSortedList(1000, universe, 91), universe);
+    std::vector<uint8_t> image;
+    hybrid->Serialize(*set, &image);
+    ASSERT_EQ(image[0], universe == 2000u ? 1 : 0);  // bitmap : list
+    ASSERT_NE(hybrid->Deserialize(image.data(), image.size()), nullptr);
+    for (const uint8_t tag : {uint8_t{2}, uint8_t{0x80}, uint8_t{0xff}}) {
+      SCOPED_TRACE(static_cast<int>(tag));
+      image[0] = tag;
+      EXPECT_EQ(hybrid->Deserialize(image.data(), image.size()), nullptr);
+      auto checked = hybrid->DeserializeChecked(image, universe);
+      ASSERT_FALSE(checked.ok());
+      EXPECT_EQ(checked.status().code(), StatusCode::kCorruptData);
+    }
+  }
 }
 
 TEST(DeserializeCheckedTest, EveryPrefixOfEveryCodecIsContained) {

@@ -8,10 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include "common/simd_intersect.h"
 #include "core/query.h"
 #include "core/registry.h"
 #include "core/set_ops.h"
+#include "obs/op_counters.h"
+#include "planner/planner_codec.h"
+#include "planner/strategy.h"
 #include "test_util.h"
+#include "workload/synthetic.h"
 
 namespace intcomp {
 namespace {
@@ -46,6 +51,69 @@ TEST_P(SetOpsTest, ThreeWayIntersection) {
   std::vector<uint32_t> got;
   IntersectSets(codec(), Ptrs(sets), &got);
   EXPECT_EQ(got, expected);
+
+  // One SvS driver behind four entry points: on seeded uniform and zipf
+  // lists, IntersectSets, IntersectTaggedSets with one tag,
+  // PlannedIntersectSets over the Planner's per-list codecs and an all-leaf
+  // AND plan all equal the oracle. A nested AND(OR(l0, l1, l2), l3) whose
+  // leaf is under 1/8 of the union then takes the driver's decode-and-gallop
+  // branch.
+  constexpr uint64_t kDomain = 1 << 20;
+  const Codec& planner_codec = *FindCodec("Planner");
+  ScratchArena arena;
+  for (const bool zipf : {false, true}) {
+    SCOPED_TRACE(zipf ? "zipf" : "uniform");
+    auto gen = [&](size_t n, uint64_t seed) {
+      return zipf ? GenerateZipf(n, kDomain, kPaperZipfSkew, seed)
+                  : GenerateUniform(n, kDomain, seed);
+    };
+    const std::vector<std::vector<uint32_t>> in = {
+        gen(4000, 101), gen(30000, 102), gen(60000, 103), gen(2000, 104)};
+    std::vector<uint32_t> oracle = in[0];
+    for (size_t i = 1; i < in.size(); ++i) oracle = RefIntersect(oracle, in[i]);
+    auto encoded = EncodeAll(in);
+    const auto ptrs = Ptrs(encoded);
+
+    IntersectSets(codec(), ptrs, &arena, &got);
+    EXPECT_EQ(got, oracle);
+    std::vector<TaggedSet> tagged;
+    for (const CompressedSet* p : ptrs) tagged.push_back({&codec(), p});
+    IntersectTaggedSets(tagged, &arena, &got);
+    EXPECT_EQ(got, oracle);
+    std::vector<std::unique_ptr<CompressedSet>> planned_sets;
+    std::vector<TaggedSet> planned;
+    for (const auto& l : in) {
+      planned_sets.push_back(planner_codec.Encode(l, kDomain));
+      const auto& ps =
+          static_cast<const planner::PlannerCodec::Set&>(*planned_sets.back());
+      planned.push_back({ps.codec, ps.inner.get()});
+    }
+    planner::PlannedIntersectSets(planned, planner::SetOpStrategy::kAuto,
+                                  planner::CostModel::Default(), &arena, &got);
+    EXPECT_EQ(got, oracle);
+    std::vector<QueryPlan> leaves;
+    for (size_t i = 0; i < in.size(); ++i) leaves.push_back(QueryPlan::Leaf(i));
+    EvaluatePlan(codec(), QueryPlan::And(leaves), ptrs, &arena, &got);
+    EXPECT_EQ(got, oracle);
+
+    const auto wide = RefUnion(RefUnion(in[0], in[1]), in[2]);
+    ASSERT_LT(in[3].size() * kMergeIntersectRatio, wide.size());
+    const auto nested = QueryPlan::And(
+        {QueryPlan::Or(
+             {QueryPlan::Leaf(0), QueryPlan::Leaf(1), QueryPlan::Leaf(2)}),
+         QueryPlan::Leaf(3)});
+    const obs::OpCounters before = obs::ThreadOpCounters();
+    EvaluatePlan(codec(), nested, ptrs, &arena, &got);
+    const obs::OpCounters delta = obs::ThreadOpCounters() - before;
+    EXPECT_EQ(got, RefIntersect(wide, in[3]));
+    // Three lists through the OR's k-way union, one leaf under the AND.
+    EXPECT_EQ(delta.lists_touched, 4u);
+    // The union decodes all three; the gallop decodes the leaf (a probe
+    // through the leaf's own skip structure would not count its bytes).
+    size_t all_bytes = 0;
+    for (const CompressedSet* p : ptrs) all_bytes += p->SizeInBytes();
+    EXPECT_EQ(delta.bytes_decoded, all_bytes);
+  }
 }
 
 TEST_P(SetOpsTest, FiveWayIntersectionWithSharedCore) {

@@ -34,7 +34,9 @@ Subcommands:
           baseline by more than --tail-tolerance (default 15%). A genuine
           tail regression shifts the whole upper tail; a lone p99 spike is
           an OS artifact, so requiring two quantiles kills the flakes
-          without letting real regressions through.
+          without letting real regressions through. Under --calibrate a
+          failing key also prints its absolute p50/p90/p99 (ns, current vs
+          baseline).
       With --calibrate, latencies are first normalized by the file-wide
       median p50, cancelling overall machine speed — required when baseline
       and current come from different machines (CI vs. the baseline host).
@@ -375,11 +377,19 @@ def cmd_diff(args):
         limit = 1.0 + args.tail_tolerance
         if b90 > 0 and b99 > 0 and c90 > b90 * limit and c99 > b99 * limit:
             unit = "x median-p50" if args.calibrate else "ns"
+            # Calibrated figures move with the file-wide median p50 too;
+            # the absolute ones tell that drift from a real slowdown.
+            absolute = ""
+            if args.calibrate:
+                absolute = (f"; absolute p50/p90/p99 "
+                            f"{c['p50_ns']:.0f}/{c['p90_ns']:.0f}/"
+                            f"{c['p99_ns']:.0f} vs {b['p50_ns']:.0f}/"
+                            f"{b['p90_ns']:.0f}/{b['p99_ns']:.0f} ns")
             fail(f"{key[0]}/{key[1]}: tail regression — p90 {c90:.1f} vs "
                  f"{b90:.1f} {unit} (+{(c90 / b90 - 1) * 100:.0f}%), p99 "
                  f"{c99:.1f} vs {b99:.1f} {unit} "
                  f"(+{(c99 / b99 - 1) * 100:.0f}%), tolerance "
-                 f"{args.tail_tolerance * 100:.0f}%")
+                 f"{args.tail_tolerance * 100:.0f}%{absolute}")
 
     for name in sorted(n for n in base.counters if n.startswith("engine.")):
         bv = base.counters[name]
