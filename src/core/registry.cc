@@ -3,7 +3,6 @@
 #include <array>
 #include <vector>
 
-#include "core/hybrid.h"
 #include "planner/planner_codec.h"
 
 #include "bitmap/bbc.h"
@@ -58,13 +57,17 @@ struct Instances {
   PforDeltaStarCodec pfordelta_star;
   SimdPforDeltaStarCodec simdpfordelta_star;
   SimdBp128StarCodec simdbp128_star;
-  // Extensions: lesson-1 adaptive codec over the two recommended methods,
-  // plain (non-partitioned) Elias-Fano [35], PEF's baseline, and the N-way
-  // per-list codec optimizer. The planner's default pool spans both
-  // families: the best container bitmap (Roaring), an RLE bitmap for
-  // clustered lists (EWAH), the recommended list codec (SIMDPforDelta*),
-  // and Elias-Fano partitions (PEF) for sparse irregular lists.
-  HybridCodec hybrid{&roaring, &simdpfordelta_star};
+  // Extensions: lesson-1 adaptive codec over the two recommended methods
+  // (the §7.1 density rule; pool order list, bitmap makes the tag byte 0 for
+  // a list and 1 for a bitmap), plain (non-partitioned) Elias-Fano [35],
+  // PEF's baseline, and the N-way per-list codec optimizer. The planner's
+  // default pool spans both families: the best container bitmap (Roaring),
+  // an RLE bitmap for clustered lists (EWAH), the recommended list codec
+  // (SIMDPforDelta*), and Elias-Fano partitions (PEF) for sparse irregular
+  // lists.
+  planner::PlannerCodec hybrid{
+      std::vector<const Codec*>{&simdpfordelta_star, &roaring},
+      planner::PlannerCodec::Selection::kStats, "Hybrid"};
   PefCodec ef{/*partition_size=*/0, "EF"};
   planner::PlannerCodec planner{
       std::vector<const Codec*>{&roaring, &ewah, &simdpfordelta_star, &pef}};

@@ -1,5 +1,6 @@
 #include "planner/planner_codec.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -12,6 +13,20 @@ namespace intcomp::planner {
 
 namespace {
 
+// §7.1: a list at least 1/5 of its universe wants a bitmap.
+constexpr double kBitmapDensity = 0.2;
+
+// |L| / universe, with the universe min(domain, max+1). domain == 0 means
+// "unknown", never "tiny": the value range stands in, so an arbitrarily
+// sparse list is never mistaken for a fully dense one.
+double Density(std::span<const uint32_t> sorted, uint64_t domain) {
+  if (sorted.empty()) return 0.0;
+  const uint64_t value_range = uint64_t{sorted.back()} + 1;
+  const uint64_t universe =
+      domain == 0 ? value_range : std::min(domain, value_range);
+  return static_cast<double>(sorted.size()) / static_cast<double>(universe);
+}
+
 void BumpBuildChoice(std::string_view codec_name) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   if (!reg.Enabled()) return;
@@ -23,28 +38,9 @@ void BumpBuildChoice(std::string_view codec_name) {
 }  // namespace
 
 PlannerCodec::PlannerCodec(std::vector<const Codec*> pool,
-                           Selection selection, std::string_view name,
-                           double density_threshold)
-    : pool_(std::move(pool)),
-      selection_(selection),
-      name_(name),
-      threshold_(density_threshold) {
+                           Selection selection, std::string_view name)
+    : pool_(std::move(pool)), selection_(selection), name_(name) {
   assert(!pool_.empty() && pool_.size() <= 255);
-}
-
-uint8_t PlannerCodec::StatsChoice(const ListStats& stats) const {
-  // §7.1 rules: density decides the family; strong run clustering pulls a
-  // moderately sparse list to the bitmap side too (RLE words compress runs
-  // at a constant cost per run, independent of the run's length).
-  const bool bitmap_side =
-      stats.density >= threshold_ ||
-      (stats.avg_run_len >= 16.0 && stats.density >= threshold_ / 16.0);
-  const CodecFamily want =
-      bitmap_side ? CodecFamily::kBitmap : CodecFamily::kInvertedList;
-  for (size_t i = 0; i < pool_.size(); ++i) {
-    if (pool_[i]->Family() == want) return static_cast<uint8_t>(i);
-  }
-  return 0;  // pool has no codec of the wanted family: first candidate
 }
 
 uint8_t PlannerCodec::SelectCodec(
@@ -55,7 +51,16 @@ uint8_t PlannerCodec::SelectCodec(
     return 0;
   }
   if (selection_ == Selection::kStats) {
-    const uint8_t tag = StatsChoice(MeasureListStats(sorted, domain));
+    const CodecFamily want = Density(sorted, domain) >= kBitmapDensity
+                                 ? CodecFamily::kBitmap
+                                 : CodecFamily::kInvertedList;
+    uint8_t tag = 0;  // no codec of the wanted family: first candidate
+    for (size_t i = 0; i < pool_.size(); ++i) {
+      if (pool_[i]->Family() == want) {
+        tag = static_cast<uint8_t>(i);
+        break;
+      }
+    }
     *encoded = pool_[tag]->Encode(sorted, domain);
     return tag;
   }
@@ -137,10 +142,10 @@ std::unique_ptr<CompressedSet> PlannerCodec::Deserialize(const uint8_t* data,
 StatusOr<std::unique_ptr<CompressedSet>> PlannerCodec::DeserializeChecked(
     std::span<const uint8_t> image, uint64_t domain) const {
   if (image.empty()) {
-    return Status::Corrupt("Planner: empty image (missing codec tag)");
+    return Status::Corrupt(name_ + ": empty image (missing codec tag)");
   }
   if (image[0] >= pool_.size()) {
-    return Status::Corrupt("Planner: codec tag outside candidate pool");
+    return Status::Corrupt(name_ + ": codec tag outside candidate pool");
   }
   auto set = std::make_unique<Set>();
   set->tag = image[0];
@@ -154,9 +159,9 @@ StatusOr<std::unique_ptr<CompressedSet>> PlannerCodec::DeserializeChecked(
 Status PlannerCodec::ValidateSet(const CompressedSet& set,
                                  uint64_t domain) const {
   const auto& s = static_cast<const Set&>(set);
-  if (s.inner == nullptr) return Status::Corrupt("Planner: missing inner set");
+  if (s.inner == nullptr) return Status::Corrupt(name_ + ": missing inner set");
   if (s.tag >= pool_.size() || s.codec != pool_[s.tag]) {
-    return Status::Corrupt("Planner: codec tag outside candidate pool");
+    return Status::Corrupt(name_ + ": codec tag outside candidate pool");
   }
   return s.codec->ValidateSet(*s.inner, domain);
 }

@@ -7,10 +7,10 @@
 
 #include <gtest/gtest.h>
 
-#include "core/hybrid.h"
 #include "core/registry.h"
 #include "core/set_ops.h"
 #include "core/topk.h"
+#include "planner/planner_codec.h"
 #include "test_util.h"
 #include "workload/synthetic.h"
 
@@ -18,6 +18,14 @@ namespace intcomp {
 namespace {
 
 const Codec& Hybrid() { return *FindCodec("Hybrid"); }
+
+// Hybrid is the two-candidate {SIMDPforDelta*, Roaring} PlannerCodec: the
+// set's pool index is 0 on the list side and 1 on the bitmap side.
+constexpr uint8_t kListTag = 0;
+constexpr uint8_t kBitmapTag = 1;
+uint8_t HybridTag(const CompressedSet& set) {
+  return static_cast<const planner::PlannerCodec::Set&>(set).tag;
+}
 
 TEST(HybridTest, IsRegisteredAsExtension) {
   ASSERT_EQ(ExtensionCodecs().size(), 3u);
@@ -53,8 +61,8 @@ TEST(HybridTest, EffectiveFamilyTracksTheChosenSide) {
   auto sparse = RandomSortedList(1000, 1 << 20, 92);    // density ~0.001
   auto sd = Hybrid().Encode(dense, 1 << 20);
   auto ss = Hybrid().Encode(sparse, 1 << 20);
-  ASSERT_TRUE(static_cast<const HybridCodec::Set&>(*sd).is_bitmap);
-  ASSERT_FALSE(static_cast<const HybridCodec::Set&>(*ss).is_bitmap);
+  ASSERT_EQ(HybridTag(*sd), kBitmapTag);
+  ASSERT_EQ(HybridTag(*ss), kListTag);
   EXPECT_EQ(Hybrid().Family(), CodecFamily::kBitmap);
   EXPECT_EQ(Hybrid().EffectiveFamily(*sd), CodecFamily::kBitmap);
   EXPECT_EQ(Hybrid().EffectiveFamily(*ss), CodecFamily::kInvertedList);
@@ -100,8 +108,14 @@ TEST(HybridTest, PicksBitmapForDenseAndListForSparse) {
   auto sparse = RandomSortedList(1000, 1 << 20, 2);     // density ~0.001
   auto sd = Hybrid().Encode(dense, 1 << 20);
   auto ss = Hybrid().Encode(sparse, 1 << 20);
-  EXPECT_TRUE(static_cast<const HybridCodec::Set&>(*sd).is_bitmap);
-  EXPECT_FALSE(static_cast<const HybridCodec::Set&>(*ss).is_bitmap);
+  EXPECT_EQ(HybridTag(*sd), kBitmapTag);
+  EXPECT_EQ(HybridTag(*ss), kListTag);
+  // Density alone decides: a sparse list of long runs (density ~0.05,
+  // runs of ~512) still goes to the list side.
+  constexpr uint64_t kDomain = 1 << 16;
+  auto clustered = GenerateMarkov(kDomain / 20, kDomain, 512.0, 5);
+  auto sc = Hybrid().Encode(clustered, kDomain);
+  EXPECT_EQ(HybridTag(*sc), kListTag);
 }
 
 TEST(HybridTest, UnknownDomainTreatsSparseWideListAsList) {
@@ -112,11 +126,11 @@ TEST(HybridTest, UnknownDomainTreatsSparseWideListAsList) {
   // must carry the list tag in byte 0 so readers agree.
   auto sparse = RandomSortedList(10000, uint64_t{1} << 32, 21);
   auto s = Hybrid().Encode(sparse, /*domain=*/0);
-  EXPECT_FALSE(static_cast<const HybridCodec::Set&>(*s).is_bitmap);
+  EXPECT_EQ(HybridTag(*s), kListTag);
   std::vector<uint8_t> image;
   Hybrid().Serialize(*s, &image);
   ASSERT_FALSE(image.empty());
-  EXPECT_EQ(image[0], 0u);  // 0 = list family, 1 = bitmap family
+  EXPECT_EQ(image[0], kListTag);  // the tag byte leads the image
   // And the round trip must still behave.
   auto restored = Hybrid().Deserialize(image.data(), image.size());
   ASSERT_NE(restored, nullptr);
@@ -129,7 +143,7 @@ TEST(HybridTest, UnknownDomainTreatsSparseWideListAsList) {
   std::vector<uint32_t> dense(200000);
   for (uint32_t i = 0; i < dense.size(); ++i) dense[i] = 2 * i;
   auto d = Hybrid().Encode(dense, /*domain=*/0);
-  EXPECT_TRUE(static_cast<const HybridCodec::Set&>(*d).is_bitmap);
+  EXPECT_EQ(HybridTag(*d), kBitmapTag);
 }
 
 TEST(HybridTest, MixedFamilyOpsAreCorrect) {
@@ -137,8 +151,7 @@ TEST(HybridTest, MixedFamilyOpsAreCorrect) {
   auto sparse = RandomSortedList(1000, 1 << 20, 4);
   auto sd = Hybrid().Encode(dense, 1 << 20);
   auto ss = Hybrid().Encode(sparse, 1 << 20);
-  ASSERT_NE(static_cast<const HybridCodec::Set&>(*sd).is_bitmap,
-            static_cast<const HybridCodec::Set&>(*ss).is_bitmap);
+  ASSERT_NE(HybridTag(*sd), HybridTag(*ss));
   std::vector<uint32_t> out;
   Hybrid().Intersect(*sd, *ss, &out);
   EXPECT_EQ(out, RefIntersect(dense, sparse));

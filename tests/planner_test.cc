@@ -22,7 +22,6 @@
 #include "engine/thread_pool.h"
 #include "index/bitmap_index.h"
 #include "invlist/simdpfordelta.h"
-#include "planner/list_stats.h"
 #include "planner/planner_codec.h"
 #include "planner/strategy.h"
 #include "service/sharded_index.h"
@@ -36,8 +35,6 @@ namespace intcomp {
 namespace {
 
 using planner::CostModel;
-using planner::ListStats;
-using planner::MeasureListStats;
 using planner::PlannerCodec;
 using planner::SetOpStrategy;
 using storage::MappedIndex;
@@ -358,7 +355,7 @@ TEST(PlannerCodecTest, DeserializeRejectsBadTagAndEmptyImage) {
   EXPECT_EQ(decoded, list);
 }
 
-TEST(PlannerCodecTest, StatsSelectionFollowsDensityAndRuns) {
+TEST(PlannerCodecTest, StatsSelectionFollowsDensity) {
   const Codec& roaring = *FindCodec("Roaring");
   const Codec& simdpfd = *FindCodec("SIMDPforDelta*");
   const PlannerCodec stats_planner({&roaring, &simdpfd},
@@ -368,30 +365,22 @@ TEST(PlannerCodecTest, StatsSelectionFollowsDensityAndRuns) {
 
   const auto dense = GenerateUniform(domain / 2, domain, seed);
   const auto sparse = GenerateUniform(100, domain, seed + 1);
-  // Sparse overall but strongly clustered: long runs still favor a
-  // run-length-friendly bitmap under the §7.1 rules.
+  // Sparse overall but strongly clustered: the §7.1 rule reads density
+  // only, so long runs do not pull it to the bitmap side.
   const auto clustered = GenerateMarkov(domain / 20, domain, 512.0, seed + 2);
 
-  EXPECT_EQ(
-      stats_planner.pool()[stats_planner.StatsChoice(
-          MeasureListStats(dense, domain))]->Family(),
-      CodecFamily::kBitmap);
-  EXPECT_EQ(
-      stats_planner.pool()[stats_planner.StatsChoice(
-          MeasureListStats(sparse, domain))]->Family(),
-      CodecFamily::kInvertedList);
-  EXPECT_EQ(
-      stats_planner.pool()[stats_planner.StatsChoice(
-          MeasureListStats(clustered, domain))]->Family(),
-      CodecFamily::kBitmap);
-
-  // Selection mode never changes what decodes back out.
-  for (const auto* list : {&dense, &sparse, &clustered}) {
-    const auto set = stats_planner.Encode(*list, domain);
+  const auto family = [&](const std::vector<uint32_t>& list) {
+    const auto set = stats_planner.Encode(list, domain);
+    const auto& s = static_cast<const PlannerCodec::Set&>(*set);
+    // Selection mode never changes what decodes back out.
     std::vector<uint32_t> decoded;
     stats_planner.Decode(*set, &decoded);
-    EXPECT_EQ(decoded, *list);
-  }
+    EXPECT_EQ(decoded, list);
+    return stats_planner.pool()[s.tag]->Family();
+  };
+  EXPECT_EQ(family(dense), CodecFamily::kBitmap);
+  EXPECT_EQ(family(sparse), CodecFamily::kInvertedList);
+  EXPECT_EQ(family(clustered), CodecFamily::kInvertedList);
 }
 
 // ------------------------------------------------------------ strategy

@@ -10,12 +10,12 @@
 #include <gtest/gtest.h>
 
 #include "bitmap/roaring.h"
-#include "core/hybrid.h"
 #include "core/query.h"
 #include "core/registry.h"
 #include "invlist/blocked_list.h"
 #include "invlist/groupvb.h"
 #include "invlist/vb.h"
+#include "planner/planner_codec.h"
 #include "test_util.h"
 
 namespace intcomp {
@@ -177,22 +177,26 @@ TEST(DeserializeCheckedTest, EveryPrefixOfEveryCodecIsContained) {
   }
 }
 
-TEST(HybridBoundaryTest, ThresholdSidesAndCustomThreshold) {
-  const Codec* roaring = FindCodec("Roaring");
-  const Codec* list = FindCodec("SIMDPforDelta*");
-  HybridCodec strict(roaring, list, /*density_threshold=*/0.5);
-  HybridCodec loose(roaring, list, /*density_threshold=*/0.001);
-  auto values = RandomSortedList(10000, 1 << 20, 91);  // density ~0.01
-  auto s1 = strict.Encode(values, 1 << 20);
-  auto s2 = loose.Encode(values, 1 << 20);
-  EXPECT_FALSE(static_cast<const HybridCodec::Set&>(*s1).is_bitmap);
-  EXPECT_TRUE(static_cast<const HybridCodec::Set&>(*s2).is_bitmap);
-  // Both decode identically regardless of the inner representation.
-  std::vector<uint32_t> d1, d2;
-  strict.Decode(*s1, &d1);
-  loose.Decode(*s2, &d2);
-  EXPECT_EQ(d1, values);
-  EXPECT_EQ(d2, values);
+TEST(HybridBoundaryTest, DensityThresholdIsInclusive) {
+  // Hybrid sends a list at least 1/5 dense to Roaring (tag 1) and anything
+  // sparser to SIMDPforDelta* (tag 0). 2000 values ending at domain - 1
+  // sit exactly on 0.2; one value fewer over the same range is below it.
+  const Codec* hybrid = FindCodec("Hybrid");
+  ASSERT_NE(hybrid, nullptr);
+  constexpr uint64_t kDomain = 10000;
+  std::vector<uint32_t> at;
+  for (uint32_t v = 4; v < kDomain; v += 5) at.push_back(v);
+  ASSERT_EQ(at.size(), 2000u);
+  const std::vector<uint32_t> below(at.begin() + 1, at.end());
+  const auto tag = [&](const std::vector<uint32_t>& values) {
+    const auto set = hybrid->Encode(values, kDomain);
+    std::vector<uint32_t> decoded;
+    hybrid->Decode(*set, &decoded);
+    EXPECT_EQ(decoded, values);
+    return static_cast<const planner::PlannerCodec::Set&>(*set).tag;
+  };
+  EXPECT_EQ(tag(at), 1);
+  EXPECT_EQ(tag(below), 0);
 }
 
 TEST(GroupVbTailTest, BlockBoundaryTails) {
