@@ -191,27 +191,6 @@ uint64_t KernelCounters::Total() const {
          scalar_union + simd_union + block_probes;
 }
 
-std::string_view KernelCounters::Dominant() const {
-  std::string_view name = "none";
-  uint64_t best = 0;
-  const struct {
-    std::string_view name;
-    uint64_t n;
-  } rows[] = {
-      {"scalar-merge", scalar_merge}, {"simd-merge", simd_merge},
-      {"scalar-gallop", scalar_gallop}, {"simd-gallop", simd_gallop},
-      {"scalar-union", scalar_union}, {"simd-union", simd_union},
-      {"block-probe", block_probes},
-  };
-  for (const auto& r : rows) {
-    if (r.n > best) {
-      best = r.n;
-      name = r.name;
-    }
-  }
-  return name;
-}
-
 KernelCounters& ThreadKernelCounters() {
   thread_local KernelCounters counters;
   return counters;

@@ -46,11 +46,9 @@ std::vector<std::vector<uint32_t>> BatchExecutor::Execute(
     obs::OpCounters ops;
   };
   std::vector<Tally> tallies(nworkers);
-  // One Status / kernel-label slot per query; each slot is written by exactly
-  // one task, so no synchronization beyond the pool's Wait() barrier is
-  // needed.
+  // One Status slot per query; each slot is written by exactly one task, so
+  // no synchronization beyond the pool's Wait() barrier is needed.
   std::vector<Status> statuses(nplans);
-  std::vector<std::string_view> kernel_labels(nplans);
 
   // Hoist the metrics decision (and the histogram pointer it needs) out of
   // the per-query tasks: disabled-path cost is this one relaxed load.
@@ -72,8 +70,7 @@ std::vector<std::vector<uint32_t>> BatchExecutor::Execute(
         (q < deadlines.size() && deadlines[q] != 0) ? deadlines[q]
                                                     : default_deadline_ns;
     pool_->Submit([this, codec, plans, sets, &results, &tallies, &statuses,
-                   &kernel_labels, q, deadline_ns, batch_cancel,
-                   query_hist](size_t worker) {
+                   q, deadline_ns, batch_cancel, query_hist](size_t worker) {
       TRACE_SPAN("query");
       std::vector<uint32_t>& out = results[q];
       // The deadline clock starts when the query starts executing, so a
@@ -84,19 +81,17 @@ std::vector<std::vector<uint32_t>> BatchExecutor::Execute(
       const CancellationToken* tok =
           (deadline_ns != 0 || batch_cancel != nullptr) ? &token : nullptr;
       // Deltas of the thread-local kernel / op tallies across the evaluation
-      // attribute the executed kernels and touched data to this query.
+      // add this query's kernels and touched data to the worker's tally.
       const KernelCounters kernels_before = ThreadKernelCounters();
       const obs::OpCounters ops_before = obs::ThreadOpCounters();
       const uint64_t t0 = query_hist != nullptr ? NowNs() : 0;
       Status st = EvaluatePlanChecked(*codec, plans[q], sets, tok,
                                       arenas_[worker].get(), &out);
       if (query_hist != nullptr) query_hist->Record(NowNs() - t0);
-      const KernelCounters delta = ThreadKernelCounters() - kernels_before;
-      kernel_labels[q] = delta.Dominant();
       Tally& t = tallies[worker];
       t.queries += 1;
       t.result_ints += out.size();
-      t.kernels += delta;
+      t.kernels += ThreadKernelCounters() - kernels_before;
       t.ops += obs::ThreadOpCounters() - ops_before;
       switch (st.code()) {
         case StatusCode::kOk: t.ok += 1; break;
@@ -129,7 +124,6 @@ std::vector<std::vector<uint32_t>> BatchExecutor::Execute(
   if (report != nullptr) {
     report->per_worker.assign(nworkers, WorkerCounters{});
     report->per_query = std::move(statuses);
-    report->per_query_kernel = std::move(kernel_labels);
     report->wall_ms = wall_ms;
     for (size_t w = 0; w < nworkers; ++w) {
       WorkerCounters& c = report->per_worker[w];
@@ -144,7 +138,6 @@ std::vector<std::vector<uint32_t>> BatchExecutor::Execute(
       c.cancelled = tallies[w].cancelled;
       c.failed = tallies[w].failed;
       c.kernels = tallies[w].kernels;
-      c.ops = tallies[w].ops;
     }
   }
   return results;

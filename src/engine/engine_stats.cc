@@ -16,28 +16,7 @@ WorkerCounters& WorkerCounters::operator+=(const WorkerCounters& o) {
   cancelled += o.cancelled;
   failed += o.failed;
   kernels += o.kernels;
-  ops += o.ops;
   return *this;
-}
-
-std::string QueryProfile::ToString() const {
-  char line[256];
-  std::snprintf(
-      line, sizeof(line),
-      "%llu queries (%llu ok, %llu rejected, %llu timed out, %llu cancelled, "
-      "%llu failed) %llu lists %.2f MB decoded kernel=%.*s skip-hit %.2f "
-      "wall %.2f ms",
-      static_cast<unsigned long long>(queries),
-      static_cast<unsigned long long>(ok),
-      static_cast<unsigned long long>(rejected),
-      static_cast<unsigned long long>(timed_out),
-      static_cast<unsigned long long>(cancelled),
-      static_cast<unsigned long long>(failed),
-      static_cast<unsigned long long>(lists_touched),
-      static_cast<double>(bytes_decoded) / 1e6,
-      static_cast<int>(dominant_kernel.size()), dominant_kernel.data(),
-      SkipHitRate(), wall_ms);
-  return line;
 }
 
 WorkerCounters BatchReport::Totals() const {
@@ -50,24 +29,6 @@ double BatchReport::BusyFraction() const {
   const WorkerCounters t = Totals();
   const uint64_t denom = t.busy_ns + t.idle_ns;
   return denom == 0 ? 0.0 : static_cast<double>(t.busy_ns) / denom;
-}
-
-QueryProfile BatchReport::Profile() const {
-  const WorkerCounters t = Totals();
-  QueryProfile p;
-  p.queries = t.queries;
-  p.lists_touched = t.ops.lists_touched;
-  p.bytes_decoded = t.ops.bytes_decoded;
-  p.blocks_loaded = t.ops.blocks_loaded;
-  p.blocks_skipped = t.ops.blocks_skipped;
-  p.dominant_kernel = t.kernels.Dominant();
-  p.ok = t.ok;
-  p.rejected = t.rejected;
-  p.timed_out = t.timed_out;
-  p.cancelled = t.cancelled;
-  p.failed = t.failed;
-  p.wall_ms = wall_ms;
-  return p;
 }
 
 std::string BatchReport::ToString() const {
@@ -122,63 +83,6 @@ std::string BatchReport::ToString() const {
     s += line;
   }
   return s;
-}
-
-void EngineStats::Accumulate(const BatchReport& report) {
-  const WorkerCounters t = report.Totals();
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  queries_.fetch_add(t.queries, std::memory_order_relaxed);
-  result_ints_.fetch_add(t.result_ints, std::memory_order_relaxed);
-  ok_.fetch_add(t.ok, std::memory_order_relaxed);
-  rejected_.fetch_add(t.rejected, std::memory_order_relaxed);
-  timed_out_.fetch_add(t.timed_out, std::memory_order_relaxed);
-  cancelled_.fetch_add(t.cancelled, std::memory_order_relaxed);
-  failed_.fetch_add(t.failed, std::memory_order_relaxed);
-  const uint64_t k[7] = {t.kernels.scalar_merge,  t.kernels.simd_merge,
-                         t.kernels.scalar_gallop, t.kernels.simd_gallop,
-                         t.kernels.scalar_union,  t.kernels.simd_union,
-                         t.kernels.block_probes};
-  for (int i = 0; i < 7; ++i) {
-    if (k[i] != 0) kernels_[i].fetch_add(k[i], std::memory_order_relaxed);
-  }
-  batch_wall_ns_.Record(static_cast<uint64_t>(report.wall_ms * 1e6));
-}
-
-KernelCounters EngineStats::Kernels() const {
-  KernelCounters k;
-  k.scalar_merge = kernels_[0].load(std::memory_order_relaxed);
-  k.simd_merge = kernels_[1].load(std::memory_order_relaxed);
-  k.scalar_gallop = kernels_[2].load(std::memory_order_relaxed);
-  k.simd_gallop = kernels_[3].load(std::memory_order_relaxed);
-  k.scalar_union = kernels_[4].load(std::memory_order_relaxed);
-  k.simd_union = kernels_[5].load(std::memory_order_relaxed);
-  k.block_probes = kernels_[6].load(std::memory_order_relaxed);
-  return k;
-}
-
-std::string EngineStats::ToString() const {
-  const KernelCounters k = Kernels();
-  char line[512];
-  std::snprintf(line, sizeof(line),
-                "%llu batches, %llu queries (%llu ok, %llu rejected, "
-                "%llu timed out, %llu cancelled, %llu failed), %llu ints, "
-                "dominant kernel %.*s, batch wall p50 %.2f ms p99 %.2f ms"
-                ", cache %llu hit / %llu miss / %llu bypass",
-                static_cast<unsigned long long>(Batches()),
-                static_cast<unsigned long long>(Queries()),
-                static_cast<unsigned long long>(Ok()),
-                static_cast<unsigned long long>(Rejected()),
-                static_cast<unsigned long long>(TimedOut()),
-                static_cast<unsigned long long>(Cancelled()),
-                static_cast<unsigned long long>(Failed()),
-                static_cast<unsigned long long>(ResultInts()),
-                static_cast<int>(k.Dominant().size()), k.Dominant().data(),
-                static_cast<double>(batch_wall_ns_.P50()) / 1e6,
-                static_cast<double>(batch_wall_ns_.P99()) / 1e6,
-                static_cast<unsigned long long>(CacheHits()),
-                static_cast<unsigned long long>(CacheMisses()),
-                static_cast<unsigned long long>(CacheBypass()));
-  return line;
 }
 
 }  // namespace intcomp

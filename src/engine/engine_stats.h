@@ -4,27 +4,18 @@
 // (steal / busy / idle numbers are deltas against the pool's monotonic
 // counters, so re-using a pool across batches never double-counts), then
 // merges them into a BatchReport that benches print as a per-core scaling
-// table. BatchReport::Profile() condenses the batch into the QueryProfile
-// a service would log per request batch.
-//
-// EngineStats is the long-lived roll-up: all of its state is atomics and a
-// lock-free latency histogram, so Accumulate may race with ToString (and
-// with other Accumulate calls) from any number of threads — the monitoring
-// endpoint never has to stop the engine to read it.
+// table. Long-lived totals live in the metrics registry, not here: the
+// executor adds each batch's engine.* and kernel.* counters to it.
 
 #ifndef INTCOMP_ENGINE_ENGINE_STATS_H_
 #define INTCOMP_ENGINE_ENGINE_STATS_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/simd_intersect.h"
 #include "common/status.h"
-#include "obs/histogram.h"
-#include "obs/op_counters.h"
 
 namespace intcomp {
 
@@ -47,42 +38,7 @@ struct WorkerCounters {
   // per-query deltas of the thread-local tallies in common/simd_intersect.h).
   KernelCounters kernels;
 
-  // Query-path work tallies (lists touched, bytes decoded, block cursor
-  // traffic), sampled the same way from obs::ThreadOpCounters().
-  obs::OpCounters ops;
-
   WorkerCounters& operator+=(const WorkerCounters& o);
-};
-
-// The per-batch answer to "what did these queries actually do": the shape
-// of the work, the kernel the planner favored, how well skip pointers paid
-// off, and how every query ended.
-struct QueryProfile {
-  uint64_t queries = 0;
-  uint64_t lists_touched = 0;
-  uint64_t bytes_decoded = 0;
-  uint64_t blocks_loaded = 0;
-  uint64_t blocks_skipped = 0;
-  std::string_view dominant_kernel = "none";
-  uint64_t ok = 0;
-  uint64_t rejected = 0;
-  uint64_t timed_out = 0;
-  uint64_t cancelled = 0;
-  uint64_t failed = 0;
-  double wall_ms = 0;
-
-  // Fraction of relevant blocks the skip pointers avoided decoding, in
-  // [0, 1]; 0 when the batch never touched a blocked cursor.
-  double SkipHitRate() const {
-    const uint64_t denom = blocks_loaded + blocks_skipped;
-    return denom == 0 ? 0.0
-                      : static_cast<double>(blocks_skipped) /
-                            static_cast<double>(denom);
-  }
-
-  // One line, e.g. "12 queries (12 ok) 36 lists 1.2 MB decoded
-  // kernel=simd-gallop skip-hit 0.83 wall 3.10 ms".
-  std::string ToString() const;
 };
 
 struct BatchReport {
@@ -91,10 +47,6 @@ struct BatchReport {
   // are OK; a non-OK entry means the matching result list is empty and the
   // failure never touched any other query's result.
   std::vector<Status> per_query;
-  // Dominant set-operation kernel each query executed ("simd-merge",
-  // "scalar-gallop", "block-probe", ...; "none" for queries that never
-  // reached a kernel), indexed like per_query.
-  std::vector<std::string_view> per_query_kernel;
   double wall_ms = 0;  // batch wall time as seen by the submitting thread
 
   size_t NumWorkers() const { return per_worker.size(); }
@@ -106,88 +58,8 @@ struct BatchReport {
   // the per-core scaling headroom indicator benches print.
   double BusyFraction() const;
 
-  // The batch condensed into the per-batch profile a service logs.
-  QueryProfile Profile() const;
-
   // Multi-line human-readable table: one row per worker plus a totals row.
   std::string ToString() const;
-};
-
-// Long-lived accumulator over many batches (one per engine / service).
-// BatchReport is a per-batch delta; EngineStats is the running sum a
-// monitoring endpoint would export. Accumulate and the readers (including
-// ToString) are all lock-free and may run concurrently; readers see relaxed
-// snapshots, never torn values.
-class EngineStats {
- public:
-  EngineStats() = default;
-  EngineStats(const EngineStats&) = delete;
-  EngineStats& operator=(const EngineStats&) = delete;
-
-  void Accumulate(const BatchReport& report);
-
-  uint64_t Batches() const { return batches_.load(std::memory_order_relaxed); }
-  uint64_t Queries() const { return queries_.load(std::memory_order_relaxed); }
-  uint64_t ResultInts() const {
-    return result_ints_.load(std::memory_order_relaxed);
-  }
-  uint64_t Ok() const { return ok_.load(std::memory_order_relaxed); }
-  uint64_t Rejected() const {
-    return rejected_.load(std::memory_order_relaxed);
-  }
-  uint64_t TimedOut() const {
-    return timed_out_.load(std::memory_order_relaxed);
-  }
-  uint64_t Cancelled() const {
-    return cancelled_.load(std::memory_order_relaxed);
-  }
-  uint64_t Failed() const { return failed_.load(std::memory_order_relaxed); }
-
-  // Result-cache outcomes from the index service (src/service): hit =
-  // served from the cache, miss = evaluated and offered to the cache,
-  // bypass = evaluated with caching disabled.
-  void AddCacheHit() { cache_hits_.fetch_add(1, std::memory_order_relaxed); }
-  void AddCacheMiss() {
-    cache_misses_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void AddCacheBypass() {
-    cache_bypass_.fetch_add(1, std::memory_order_relaxed);
-  }
-  uint64_t CacheHits() const {
-    return cache_hits_.load(std::memory_order_relaxed);
-  }
-  uint64_t CacheMisses() const {
-    return cache_misses_.load(std::memory_order_relaxed);
-  }
-  uint64_t CacheBypass() const {
-    return cache_bypass_.load(std::memory_order_relaxed);
-  }
-
-  // Snapshot of the kernel tallies across all accumulated batches.
-  KernelCounters Kernels() const;
-
-  // Batch wall-time distribution in nanoseconds (p50/p90/p99/p999 via the
-  // histogram's quantile accessors).
-  const obs::LatencyHistogram& BatchWallNs() const { return batch_wall_ns_; }
-
-  std::string ToString() const;
-
- private:
-  std::atomic<uint64_t> batches_{0};
-  std::atomic<uint64_t> queries_{0};
-  std::atomic<uint64_t> result_ints_{0};
-  std::atomic<uint64_t> ok_{0};
-  std::atomic<uint64_t> rejected_{0};
-  std::atomic<uint64_t> timed_out_{0};
-  std::atomic<uint64_t> cancelled_{0};
-  std::atomic<uint64_t> failed_{0};
-  std::atomic<uint64_t> cache_hits_{0};
-  std::atomic<uint64_t> cache_misses_{0};
-  std::atomic<uint64_t> cache_bypass_{0};
-  // KernelCounters field order: scalar_merge, simd_merge, scalar_gallop,
-  // simd_gallop, scalar_union, simd_union, block_probes.
-  std::atomic<uint64_t> kernels_[7] = {};
-  obs::LatencyHistogram batch_wall_ns_;
 };
 
 }  // namespace intcomp

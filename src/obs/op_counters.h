@@ -1,6 +1,6 @@
 // Per-thread tallies of query-path work, sampled as per-query deltas by the
-// batch engine (exactly like KernelCounters in common/simd_intersect.h) to
-// build each query's QueryProfile.
+// batch engine (exactly like KernelCounters in common/simd_intersect.h) and
+// added to the metrics registry's engine.* counters.
 //
 // Counters are incremented unconditionally: every site is amortized over at
 // least a block's worth of work (the BlockedCursor batches its counts
@@ -23,7 +23,7 @@ struct OpCounters {
   uint64_t bytes_decoded = 0;
   // Blocked-list cursor traffic: blocks decoded vs. blocks the skip
   // pointers let the cursor jump over without decoding. skipped/(loaded+
-  // skipped) is the skip-pointer hit rate QueryProfile reports.
+  // skipped) is the skip-pointer hit rate.
   uint64_t blocks_loaded = 0;
   uint64_t blocks_skipped = 0;
 

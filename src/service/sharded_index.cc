@@ -160,19 +160,17 @@ void BumpServiceCounter(const char* name) {
 }  // namespace
 
 IndexService::IndexService(const IndexSnapshot* index, ThreadPool* pool,
-                           const IndexServiceOptions& options,
-                           EngineStats* stats)
+                           const IndexServiceOptions& options)
     // Borrowed snapshot: shared_ptr with a no-op deleter keeps the old
     // raw-pointer contract (caller owns, must outlive the service).
     : IndexService(std::shared_ptr<const IndexSnapshot>(
                        index, [](const IndexSnapshot*) {}),
-                   pool, options, stats) {}
+                   pool, options) {}
 
 IndexService::IndexService(std::shared_ptr<const IndexSnapshot> index,
                            ThreadPool* pool,
-                           const IndexServiceOptions& options,
-                           EngineStats* stats)
-    : index_(std::move(index)), pool_(pool), stats_(stats) {
+                           const IndexServiceOptions& options)
+    : index_(std::move(index)), pool_(pool) {
   if (options.cache_enabled) {
     cache_ = std::make_unique<ResultCache>(options.cache, index_->NumShards());
   }
@@ -272,7 +270,6 @@ Status IndexService::QueryImpl(const QueryPlan& plan,
       if (hit) probe.AddUint("rows", out->size());
     }
     if (hit) {
-      if (stats_ != nullptr) stats_->AddCacheHit();
       BumpServiceCounter("service.cache.hit");
       return Status::Ok();
     }
@@ -369,10 +366,8 @@ Status IndexService::QueryImpl(const QueryPlan& plan,
       admit.AddStr("outcome", admitted ? "stored" : "rejected");
     }
     PublishCacheGauges();
-    if (stats_ != nullptr) stats_->AddCacheMiss();
     BumpServiceCounter("service.cache.miss");
   } else {
-    if (stats_ != nullptr) stats_->AddCacheBypass();
     BumpServiceCounter("service.cache.bypass");
   }
   if (explain_scope.active()) {

@@ -58,7 +58,6 @@
 #include "core/codec.h"
 #include "core/query.h"
 #include "core/scratch.h"
-#include "engine/engine_stats.h"
 #include "engine/thread_pool.h"
 #include "index/inverted_index.h"
 #include "service/result_cache.h"
@@ -149,7 +148,8 @@ struct IndexServiceOptions {
   ResultCacheOptions cache;
 };
 
-// Point-in-time cache counters the service exposes next to EngineStats.
+// Point-in-time cache and query counters the service exposes (the metrics
+// registry's service.* counters count the same outcomes when enabled).
 struct ServiceStats {
   ResultCacheStats cache;
   uint64_t queries = 0;
@@ -158,16 +158,15 @@ struct ServiceStats {
 
 class IndexService {
  public:
-  // `index` and `pool` are borrowed and must outlive the service; `stats`
-  // (optional) receives cache hit/miss/bypass and query-outcome counts.
+  // `index` and `pool` are borrowed and must outlive the service.
   IndexService(const IndexSnapshot* index, ThreadPool* pool,
-               const IndexServiceOptions& options, EngineStats* stats = nullptr);
+               const IndexServiceOptions& options);
 
   // Shared-ownership flavor: the service keeps the snapshot alive as long
   // as it (or an in-flight query) still uses it — the write path swaps
   // snapshots while queries run, so borrowed lifetimes are not enough.
   IndexService(std::shared_ptr<const IndexSnapshot> index, ThreadPool* pool,
-               const IndexServiceOptions& options, EngineStats* stats = nullptr);
+               const IndexServiceOptions& options);
 
   // Evaluates `plan` (leaves are list ids of the index) and writes the
   // matching global row ids, sorted ascending, into *out. Returns
@@ -232,7 +231,6 @@ class IndexService {
   mutable std::mutex index_mu_;  // guards index_ (pointer copy only)
   std::shared_ptr<const IndexSnapshot> index_;
   ThreadPool* pool_;
-  EngineStats* stats_;
   std::unique_ptr<ResultCache> cache_;  // null when disabled
   std::vector<std::unique_ptr<ScratchArena>> arenas_;  // one per pool worker
   std::atomic<uint64_t> queries_{0};

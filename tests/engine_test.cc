@@ -254,9 +254,9 @@ TEST(EngineStressTest, TenThousandTinyQueries) {
   EXPECT_EQ(report.Totals().queries, plans.size());
 }
 
-// ------------------------------------------------------------ engine stats
+// --------------------------------------------------------- engine counters
 
-TEST(EngineStatsTest, CountersSumAcrossWorkers) {
+TEST(EngineCountersTest, CountersSumAcrossWorkers) {
   const Codec* codec = FindCodec("WAH");
   ASSERT_NE(codec, nullptr);
   const Workload w = MakeWorkload("uniform", 8, 100);
@@ -281,7 +281,7 @@ TEST(EngineStatsTest, CountersSumAcrossWorkers) {
   EXPECT_NE(table.find("total"), std::string::npos);
 }
 
-TEST(EngineStatsTest, ReusedPoolDoesNotDoubleCount) {
+TEST(EngineCountersTest, ReusedPoolDoesNotDoubleCount) {
   // Two consecutive batches through the same pool+executor: each report
   // must hold only its own batch's numbers, and the steal/busy/idle deltas
   // must not accumulate the first batch's totals.
@@ -420,7 +420,6 @@ TEST(FaultContainmentTest, BadQueriesFailAloneAndHealthyResultsAreIdentical) {
   std::vector<std::vector<uint32_t>> ref(plans.size());
   for (size_t q : healthy) ref[q] = EvaluatePlan(codec, plans[q], ptrs);
 
-  EngineStats stats;
   std::vector<std::vector<std::vector<uint32_t>>> per_thread_results;
   for (size_t threads : {size_t{1}, kStressThreads}) {
     SCOPED_TRACE(threads);
@@ -454,17 +453,10 @@ TEST(FaultContainmentTest, BadQueriesFailAloneAndHealthyResultsAreIdentical) {
     EXPECT_EQ(totals.cancelled, 0u);
     EXPECT_EQ(totals.failed, 0u);
     EXPECT_NE(report.ToString().find("rejected"), std::string::npos);
-    stats.Accumulate(report);
     per_thread_results.push_back(results);
   }
   // Bit-identical across thread counts, including the failed slots.
   EXPECT_EQ(per_thread_results[0], per_thread_results[1]);
-  EXPECT_EQ(stats.Batches(), 2u);
-  EXPECT_EQ(stats.Ok(), 2 * healthy.size());
-  EXPECT_EQ(stats.Rejected(), 4u);
-  EXPECT_EQ(stats.TimedOut(), 2u);
-  EXPECT_EQ(stats.BatchWallNs().Count(), 2u);
-  EXPECT_NE(stats.ToString().find("2 batches"), std::string::npos);
 }
 
 TEST(FaultContainmentTest, BatchWideCancellationStopsEveryQuery) {
@@ -494,60 +486,10 @@ TEST(FaultContainmentTest, BatchWideCancellationStopsEveryQuery) {
   EXPECT_EQ(clean.Totals().ok, w.plans.size());
 }
 
-TEST(EngineStatsTest, AccumulateRacesSafelyWithReaders) {
-  // EngineStats promises lock-free Accumulate concurrent with ToString and
-  // every accessor. This binary is the INTCOMP_SANITIZE=thread CI job, so
-  // hammering the two sides here is the proof of that contract.
-  BatchReport report;
-  report.per_worker.assign(2, WorkerCounters{});
-  report.per_worker[0].queries = 3;
-  report.per_worker[0].result_ints = 10;
-  report.per_worker[0].ok = 2;
-  report.per_worker[0].rejected = 1;
-  report.per_worker[0].kernels.simd_merge = 5;
-  report.per_worker[1].queries = 1;
-  report.per_worker[1].ok = 1;
-  report.per_worker[1].kernels.block_probes = 2;
-  report.wall_ms = 0.25;
-
-  EngineStats stats;
-  constexpr int kWriters = 4;
-  constexpr int kReaders = 4;
-  constexpr int kRounds = 250;
-  std::atomic<uint64_t> sink{0};  // keep reader results observable
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kWriters; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kRounds; ++i) stats.Accumulate(report);
-    });
-  }
-  for (int t = 0; t < kReaders; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kRounds; ++i) {
-        sink.fetch_add(stats.ToString().size() + stats.Ok() +
-                       stats.Kernels().simd_merge +
-                       stats.BatchWallNs().P99());
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  const uint64_t n = kWriters * kRounds;
-  EXPECT_EQ(stats.Batches(), n);
-  EXPECT_EQ(stats.Queries(), 4 * n);
-  EXPECT_EQ(stats.ResultInts(), 10 * n);
-  EXPECT_EQ(stats.Ok(), 3 * n);
-  EXPECT_EQ(stats.Rejected(), n);
-  EXPECT_EQ(stats.Kernels().simd_merge, 5 * n);
-  EXPECT_EQ(stats.Kernels().block_probes, 2 * n);
-  EXPECT_EQ(stats.BatchWallNs().Count(), n);
-  EXPECT_GT(sink.load(), 0u);
-}
-
-TEST(EngineStatsTest, QueryProfileCapturesWorkShape) {
+TEST(EngineCountersTest, RegistryCountersCaptureWorkShape) {
   // PforDelta is a blocked codec: the 3-leaf ANDs push their SvS tail
-  // through the skip cursor, so the profile must see block traffic, and the
-  // plain-leaf decodes feed bytes_decoded.
+  // through the skip cursor, so the executor's engine.* counters must see
+  // block traffic, and the plain-leaf decodes feed bytes_decoded.
   const Codec* codec = FindCodec("PforDelta");
   ASSERT_NE(codec, nullptr);
   const uint64_t domain = 1 << 20;
@@ -574,26 +516,28 @@ TEST(EngineStatsTest, QueryProfileCapturesWorkShape) {
     plans.push_back(QueryPlan::Leaf(q));
   }
 
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  reg.Reset();
+  reg.SetEnabled(true);
   ThreadPool pool(4);
   BatchExecutor exec(&pool);
   BatchReport report;
   exec.Execute({.codec = codec, .plans = plans, .sets = ptrs}, &report);
+  reg.SetEnabled(false);
 
-  const QueryProfile p = report.Profile();
-  EXPECT_EQ(p.queries, plans.size());
-  EXPECT_EQ(p.ok, plans.size());
-  EXPECT_EQ(p.lists_touched, 3 * kAnd3 + kLeafQ);
-  EXPECT_GT(p.bytes_decoded, 0u);
-  EXPECT_GT(p.blocks_loaded, 0u);
-  EXPECT_GE(p.SkipHitRate(), 0.0);
-  EXPECT_LE(p.SkipHitRate(), 1.0);
-  EXPECT_NE(p.dominant_kernel, "none");
-  EXPECT_GT(p.wall_ms, 0.0);
-  const std::string line = p.ToString();
-  EXPECT_NE(line.find("queries"), std::string::npos);
-  EXPECT_NE(line.find("skip-hit"), std::string::npos);
-  // The empty profile keeps the rate well-defined.
-  EXPECT_EQ(QueryProfile{}.SkipHitRate(), 0.0);
+  EXPECT_EQ(report.Totals().ok, plans.size());
+  EXPECT_EQ(reg.CounterValue("engine.lists_touched"), 3 * kAnd3 + kLeafQ);
+  EXPECT_GT(reg.CounterValue("engine.bytes_decoded"), 0u);
+  EXPECT_GT(reg.CounterValue("engine.blocks_loaded"), 0u);
+  uint64_t kernels = 0;
+  for (const char* field : {"scalar_merge", "simd_merge", "scalar_gallop",
+                            "simd_gallop", "scalar_union", "simd_union",
+                            "block_probes"}) {
+    kernels += reg.CounterValue(std::string("kernel.PforDelta.") + field);
+  }
+  EXPECT_GT(kernels, 0u);
+  EXPECT_EQ(kernels, report.Totals().kernels.Total());
+  reg.Reset();
 }
 
 TEST(ObservabilityTest, TracingAndMetricsDoNotPerturbResults) {
@@ -655,7 +599,7 @@ TEST(ObservabilityTest, TracingAndMetricsDoNotPerturbResults) {
   obs::MetricsRegistry::Global().Reset();
 }
 
-TEST(EngineStatsTest, BusyFractionIsBounded) {
+TEST(EngineCountersTest, BusyFractionIsBounded) {
   BatchReport r;
   r.per_worker.assign(2, WorkerCounters{});
   EXPECT_EQ(r.BusyFraction(), 0.0);
