@@ -4,7 +4,7 @@
 // load time, and the time-to-first-result (load + one AND query), plus the
 // zero-copy share of materialized payloads.
 //
-//   persist_load --codecs=WAH,Roaring,List --size=1000000 --lists=12 \
+//   persist_load --codecs=WAH,Roaring,List --size=1000000 --lists=12
 //     --shards=8 --repeats=3 [--metrics-out=PATH]
 //
 // The open timings land in the (codec, storage_open) histograms and the

@@ -2,7 +2,7 @@
 // whole-index pool codec on the paper's three synthetic workloads, and the
 // query-time strategy chooser vs. each fixed execution strategy.
 //
-//   planner_sweep --size=65536 --lists=8 --repeats=3 \
+//   planner_sweep --size=65536 --lists=8 --repeats=3
 //     [--strategy=auto|compressed|merge|gallop] [--metrics-out=PATH]
 //
 // Space: the planner's total index size against each pool candidate run

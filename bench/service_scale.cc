@@ -10,8 +10,8 @@
 // cardinalities against the 1-shard/1-thread baseline (the service's
 // determinism guarantee); any divergence aborts the run.
 //
-//   service_scale --codec=Roaring --size=2000000 --card=16 \
-//     --shards=1,2,4,8 --threads=1,2,4,8 --queries=64 --ops=2000 \
+//   service_scale --codec=Roaring --size=2000000 --card=16
+//     --shards=1,2,4,8 --threads=1,2,4,8 --queries=64 --ops=2000
 //     --popularity-skew=1.0 [--no-cache] [--metrics-out=PATH]
 //
 // A second section sweeps the read/write mix: the same plan stream is run

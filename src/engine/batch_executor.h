@@ -54,7 +54,7 @@ struct QueryBatch {
   uint64_t default_deadline_ns = 0;
   // Optional per-query override of default_deadline_ns: either empty or
   // plans.size() entries (0 = fall back to the default).
-  std::span<const uint64_t> deadlines_ns;
+  std::span<const uint64_t> deadlines_ns = {};
   // Optional batch-wide cancellation (e.g. client disconnect); checked by
   // every query alongside its own deadline. Must outlive Execute.
   const CancellationToken* cancel = nullptr;

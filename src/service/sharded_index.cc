@@ -1,14 +1,9 @@
 #include "service/sharded_index.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cstddef>
-#include <iterator>
-#include <system_error>
-#include <thread>
 
-#include "common/usable_cpus.h"
 #include "index/bitmap_index.h"
 #include "obs/explain.h"
 #include "obs/metrics.h"
@@ -39,57 +34,19 @@ ShardedIndex ShardedIndex::Build(const Codec& codec,
                                  uint64_t num_rows, size_t num_shards) {
   assert(num_rows >= 1 && num_rows <= (uint64_t{1} << 32));
   const ShardRouter router(num_rows, num_shards);
-  ShardedIndex index(&codec, router, lists.size());
-  // One item per (shard, list), shard-major; every item is an independent
-  // encode, so workers claim items off one counter and write each result
-  // into its own slot. Adoption below runs in shard order, so the index is
-  // identical for any worker count.
-  const size_t num_lists = lists.size();
-  const size_t num_items = router.NumShards() * num_lists;
-  std::vector<std::unique_ptr<CompressedSet>> encoded(num_items);
-  std::atomic<size_t> next{0};
-  auto work = [&] {
-    std::vector<uint32_t> local;
-    for (size_t i = next.fetch_add(1, std::memory_order_relaxed);
-         i < num_items; i = next.fetch_add(1, std::memory_order_relaxed)) {
-      const size_t s = i / num_lists;
-      const std::vector<uint32_t>& list = lists[i % num_lists];
-      // The shard's slice of the list, rebased to local ids.
-      const uint32_t begin = static_cast<uint32_t>(router.Begin(s));
-      auto lo = std::lower_bound(list.begin(), list.end(), begin);
-      auto hi = std::lower_bound(lo, list.end(),
-                                 static_cast<uint64_t>(router.End(s)));
-      local.clear();
-      local.reserve(static_cast<size_t>(hi - lo));
-      for (auto it = lo; it != hi; ++it) local.push_back(*it - begin);
-      encoded[i] = codec.Encode(local, router.ShardRows(s));
-    }
-  };
-  // Short-lived threads rather than the shared ThreadPool: LiveIndex
-  // compaction calls Build from a pool worker, where a pool-wide Wait()
-  // would convoy with (or deadlock on) the very task that is waiting. The
-  // calling thread is one of the workers, so a process allowed on one CPU
-  // spawns none. A helper that cannot be created (EAGAIN under a thread or
-  // pid limit) is simply not added: the caller and the helpers already
-  // running still drain every item.
-  const size_t num_workers = std::min(UsableCpus(), num_items);
-  {
-    std::vector<std::jthread> helpers;  // joined on scope exit
-    helpers.reserve(num_workers);
-    try {
-      for (size_t t = 1; t < num_workers; ++t) helpers.emplace_back(work);
-    } catch (const std::system_error&) {
-    }
-    work();
-  }
-
-  for (size_t s = 0; s < router.NumShards(); ++s) {
-    const auto first = encoded.begin() + static_cast<ptrdiff_t>(s * num_lists);
-    index.AdoptShard({std::make_move_iterator(first),
-                      std::make_move_iterator(first + num_lists)});
-  }
-  index.FinishCodecSignature();
-  return index;
+  return BuildFromRows(
+      codec, router, lists.size(),
+      [&](size_t s, size_t l, std::vector<uint32_t>* local) {
+        const std::vector<uint32_t>& list = lists[l];
+        // The shard's slice of the list, rebased to local ids.
+        const uint32_t begin = static_cast<uint32_t>(router.Begin(s));
+        auto lo = std::lower_bound(list.begin(), list.end(), begin);
+        auto hi = std::lower_bound(lo, list.end(),
+                                   static_cast<uint64_t>(router.End(s)));
+        local->clear();
+        local->reserve(static_cast<size_t>(hi - lo));
+        for (auto it = lo; it != hi; ++it) local->push_back(*it - begin);
+      });
 }
 
 ShardedIndex ShardedIndex::BuildFromColumn(

@@ -8,6 +8,11 @@
 // are literally BitmapIndex::BuildRange products; list- and posting-built
 // shards use the identical per-range split.
 //
+// One encode driver, BuildFromRows, builds every list-shaped index: it
+// encodes (shard, list) items in parallel from a caller's row source. Build
+// slices global lists; LiveIndex compaction folds a base snapshot with its
+// deltas one (shard, list) at a time, so it never holds a decoded index.
+//
 // IndexService is the query front end:
 //   1. plan once   — validate leaf references, compute the canonical cache
 //                    key (commutative operands sorted — result_cache.h);
@@ -45,16 +50,22 @@
 #ifndef INTCOMP_SERVICE_SHARDED_INDEX_H_
 #define INTCOMP_SERVICE_SHARDED_INDEX_H_
 
+#include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
+#include <system_error>
+#include <thread>
 #include <vector>
 
 #include "common/status.h"
+#include "common/usable_cpus.h"
 #include "core/codec.h"
 #include "core/query.h"
 #include "core/scratch.h"
@@ -74,17 +85,29 @@ class ShardedIndex final : public IndexSnapshot {
  public:
   // Builds from per-list sorted row-id lists (values < num_rows): list l of
   // shard s holds lists[l] ∩ [Begin(s), End(s)), rebased to local ids.
-  // num_rows must be >= 1 and <= 2^32.
-  //
-  // The (shard, list) encodes run in parallel on up to one short-lived
-  // thread per CPU in the process's affinity mask (the caller is one of them),
-  // not on the shared ThreadPool, so Build is safe to call from a pool
-  // worker (LiveIndex compaction does). The result is identical for any
-  // thread count, and a helper thread that cannot be created is skipped
-  // rather than reported. `codec.Encode` must be safe to call concurrently.
+  // num_rows must be >= 1 and <= 2^32. Runs on BuildFromRows.
   static ShardedIndex Build(const Codec& codec,
                             std::span<const std::vector<uint32_t>> lists,
                             uint64_t num_rows, size_t num_shards);
+
+  // The (shard, list) encode driver behind Build and LiveIndex compaction.
+  // One item per (shard, list), shard-major. Workers claim items off one
+  // atomic counter; for each, `rows(s, l, &local)` writes list l's rows in
+  // shard s (local ids, sorted unique) into `local`, and the worker encodes
+  // them at the shard's domain into the item's own slot. Shards are adopted
+  // in order, so the index is identical for any worker count. Each worker
+  // calls its own copy of `rows`: state the source captures by value (fold
+  // scratch, say) is per worker and reused across that worker's items.
+  //
+  // The workers are up to one short-lived thread per CPU in the process's
+  // affinity mask (the caller is one of them), not the shared ThreadPool,
+  // so this is safe to call from a pool worker (LiveIndex compaction does).
+  // A helper thread that cannot be created is skipped rather than reported.
+  // `codec.Encode` and `rows` must be safe to call concurrently.
+  template <typename RowSource>
+  static ShardedIndex BuildFromRows(const Codec& codec,
+                                    const ShardRouter& router,
+                                    size_t num_lists, const RowSource& rows);
 
   // Builds from a column of value codes (0 .. cardinality-1) in row order:
   // list l is the row set of value l. Each shard is produced by
@@ -141,6 +164,52 @@ class ShardedIndex final : public IndexSnapshot {
   std::vector<std::vector<std::unique_ptr<CompressedSet>>> sets_;  // [shard]
   std::vector<std::vector<const CompressedSet*>> ptrs_;            // [shard]
 };
+
+template <typename RowSource>
+ShardedIndex ShardedIndex::BuildFromRows(const Codec& codec,
+                                         const ShardRouter& router,
+                                         size_t num_lists,
+                                         const RowSource& rows) {
+  ShardedIndex index(&codec, router, num_lists);
+  const size_t num_items = router.NumShards() * num_lists;
+  std::vector<std::unique_ptr<CompressedSet>> encoded(num_items);
+  std::atomic<size_t> next{0};
+  auto work = [&] {
+    RowSource source = rows;
+    std::vector<uint32_t> local;
+    for (size_t i = next.fetch_add(1, std::memory_order_relaxed);
+         i < num_items; i = next.fetch_add(1, std::memory_order_relaxed)) {
+      const size_t s = i / num_lists;
+      source(s, i % num_lists, &local);
+      encoded[i] = codec.Encode(local, router.ShardRows(s));
+    }
+  };
+  // Short-lived threads rather than the shared ThreadPool: compaction runs
+  // on a pool worker, where a pool-wide Wait() would convoy with (or
+  // deadlock on) the very task that is waiting. The calling thread is one
+  // of the workers, so a process allowed on one CPU spawns none. A helper
+  // that cannot be created (EAGAIN under a thread or pid limit) is simply
+  // not added: the caller and the helpers already running still drain
+  // every item.
+  const size_t num_workers = std::min(UsableCpus(), num_items);
+  {
+    std::vector<std::jthread> helpers;  // joined on scope exit
+    helpers.reserve(num_workers);
+    try {
+      for (size_t t = 1; t < num_workers; ++t) helpers.emplace_back(work);
+    } catch (const std::system_error&) {
+    }
+    work();
+  }
+
+  for (size_t s = 0; s < router.NumShards(); ++s) {
+    const auto first = encoded.begin() + static_cast<ptrdiff_t>(s * num_lists);
+    index.AdoptShard({std::make_move_iterator(first),
+                      std::make_move_iterator(first + num_lists)});
+  }
+  index.FinishCodecSignature();
+  return index;
+}
 
 struct IndexServiceOptions {
   // Result cache; set enabled=false to evaluate every query.

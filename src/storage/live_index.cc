@@ -237,31 +237,6 @@ Status LiveIndex::Sync() {
   return wal_->Sync();
 }
 
-Status LiveIndex::MergeBase(const IndexSnapshot& base,
-                            std::vector<std::vector<uint32_t>>* lists) {
-  const size_t num_lists = base.NumLists();
-  const ShardRouter& router = base.Router();
-  lists->assign(num_lists, {});
-  std::vector<size_t> all(num_lists);
-  std::iota(all.begin(), all.end(), 0);
-  std::vector<uint32_t> local;
-  for (size_t s = 0; s < router.NumShards(); ++s) {
-    StatusOr<std::span<const CompressedSet* const>> sets = base.PlanSets(s, all);
-    if (!sets.ok()) return sets.status();
-    const uint32_t begin = static_cast<uint32_t>(router.Begin(s));
-    for (size_t l = 0; l < num_lists; ++l) {
-      local.clear();
-      base.codec().Decode(*sets.value()[l], &local);
-      auto& out = (*lists)[l];
-      out.reserve(out.size() + local.size());
-      // Shards cover ascending disjoint ranges, so appending in shard
-      // order keeps the global list sorted.
-      for (uint32_t r : local) out.push_back(r + begin);
-    }
-  }
-  return Status::Ok();
-}
-
 Status LiveIndex::Compact() {
   bool expected = false;
   if (!compacting_.compare_exchange_strong(expected, true)) {
@@ -270,7 +245,7 @@ Status LiveIndex::Compact() {
   TRACE_SPAN("storage.compaction");
   Status st = [&]() -> Status {
     // Freeze: the deltas this compaction folds in. Updates keep landing in
-    // the live map while the merge runs; commit subtracts exactly `frozen`.
+    // the live map while the fold runs; commit subtracts exactly `frozen`.
     std::vector<std::pair<uint32_t, ListDelta>> frozen;
     std::shared_ptr<const IndexSnapshot> base;
     {
@@ -284,18 +259,32 @@ Status LiveIndex::Compact() {
     Status step = CompactionStep("compaction merge");
     if (!step.ok()) return step;
 
-    // Merge base + frozen into plain lists, rebuild freshly compressed.
-    std::vector<std::vector<uint32_t>> lists;
-    Status merge = MergeBase(*base, &lists);
-    if (!merge.ok()) return merge;
-    std::vector<uint32_t> merged;
-    for (const auto& [list, delta] : frozen) {
-      ApplyDelta(lists[list], delta, &merged);
-      lists[list].swap(merged);
+    // Fold base + frozen one (shard, list) at a time inside the parallel
+    // encoder, so no decoded copy of the whole index is ever held. The base
+    // sets are resolved up front: a lazy container can fail here, and the
+    // spans stay valid while `base` is pinned.
+    const ShardRouter& router = base->Router();
+    const size_t num_lists = base->NumLists();
+    std::vector<size_t> all(num_lists);
+    std::iota(all.begin(), all.end(), 0);
+    std::vector<std::span<const CompressedSet* const>> base_sets;
+    base_sets.reserve(router.NumShards());
+    for (size_t s = 0; s < router.NumShards(); ++s) {
+      StatusOr<std::span<const CompressedSet* const>> sets =
+          base->PlanSets(s, all);
+      if (!sets.ok()) return sets.status();
+      base_sets.push_back(sets.value());
     }
-    ShardedIndex fresh =
-        ShardedIndex::Build(base->codec(), lists, base->NumRows(),
-                            base->NumShards());
+    std::vector<const ListDelta*> dirty(num_lists, nullptr);
+    for (const auto& [list, delta] : frozen) dirty[list] = &delta;
+    const Codec& codec = base->codec();
+    ShardedIndex fresh = ShardedIndex::BuildFromRows(
+        codec, router, num_lists,
+        [&, scratch = FoldScratch{}](size_t s, size_t l,
+                                     std::vector<uint32_t>* rows) mutable {
+          FoldShardList(codec, router, s, *base_sets[s][l], dirty[l],
+                        &scratch, rows);
+        });
 
     std::shared_ptr<const IndexSnapshot> next_base;
     if (dir_.empty()) {
@@ -377,7 +366,7 @@ Status LiveIndex::RotateWalLocked(
   const std::string path = PathJoin(dir_, kWalFile);
 
   // Fresh log: checkpoint marker + synthetic records for the deltas that
-  // arrived during the merge (they are not in the new base). Written and
+  // arrived during the fold (they are not in the new base). Written and
   // fsynced as a whole before the rename, so the swap is atomic.
   {
     StatusOr<std::unique_ptr<WalWriter>> fresh =

@@ -15,12 +15,17 @@
 // racing updates or compaction swaps observe exactly one generation.
 //
 // Compaction folds a frozen copy of the deltas into a freshly built,
-// freshly compressed base and commits in two atomic steps:
+// freshly compressed base. It streams: ShardedIndex::BuildFromRows claims
+// (shard, list) items in parallel, and each item's rows are the base's set
+// for that (shard, list) decoded and folded with the shard's slice of the
+// frozen deltas (FoldShardList, the overlay's own fold), then encoded. Only
+// one (shard, list) per worker is ever decoded at a time; every pair is
+// still re-encoded, clean or not. It commits in two atomic steps:
 //
 //   1. write index.tmp.ics (header patched last, fsynced), rename over
 //      index.ics;
 //   2. write wal.tmp.log (checkpoint + the deltas that arrived *during*
-//      the merge), fsync, rename over wal.log.
+//      the fold), fsync, rename over wal.log.
 //
 // A crash between the two is benign by construction: delta state is each
 // row's last recorded polarity, independent of the base, so replaying the
@@ -155,9 +160,6 @@ class LiveIndex {
   Status RotateWalLocked(
       uint64_t checkpoint_id,
       const std::vector<std::pair<uint32_t, ListDelta>>& survivors);
-  // Decodes every list of `base` into global row ids.
-  static Status MergeBase(const IndexSnapshot& base,
-                          std::vector<std::vector<uint32_t>>* lists);
 
   const std::string dir_;  // empty for Wrap()ed volatile indexes
   const LiveIndexOptions options_;

@@ -57,7 +57,9 @@ void ExpectSane(const Codec& codec, const CompressedSet& set) {
   ASSERT_EQ(vals.size(), set.Cardinality());
   for (size_t i = 0; i < vals.size(); ++i) {
     ASSERT_LT(vals[i], kDomain) << "value past domain at " << i;
-    if (i > 0) ASSERT_LT(vals[i - 1], vals[i]) << "not increasing at " << i;
+    if (i > 0) {
+      ASSERT_LT(vals[i - 1], vals[i]) << "not increasing at " << i;
+    }
   }
   auto re = codec.Encode(vals, kDomain);
   std::vector<uint32_t> vals2;

@@ -1,7 +1,8 @@
 // LiveIndex end-to-end tests (src/storage/live_index.h): create / update /
-// query / reopen durability, WAL rotation at compaction commit, torn-tail
-// recovery, transient-fault retry on reopen, validation, and result-cache
-// coherence across the mutable write path. The adversarial crash campaigns
+// query / reopen durability, WAL rotation at compaction commit, compacted
+// containers byte-identical to a fresh build, torn-tail recovery,
+// transient-fault retry on reopen, validation, and result-cache coherence
+// across the mutable write path. The adversarial crash campaigns
 // live in recovery_fault_test.cc; these tests pin the deterministic
 // behaviors down one by one.
 
@@ -11,11 +12,14 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <future>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -25,7 +29,10 @@
 #include "core/registry.h"
 #include "engine/thread_pool.h"
 #include "obs/trace.h"
+#include "service/shard_router.h"
 #include "service/sharded_index.h"
+#include "storage/index_writer.h"
+#include "storage/mapped_index.h"
 #include "test_util.h"
 
 namespace intcomp {
@@ -390,6 +397,210 @@ TEST(LiveIndexTest, CompactAsyncSpansNestUnderTheSubmittingTrace) {
   }
   EXPECT_TRUE(found_compaction);
   obs::ClearSpans();
+  ASSERT_TRUE((*live)->Close().ok());
+}
+
+// ------------------------------------------------- compaction byte identity
+
+std::vector<uint8_t> ReadFileBytes(const std::string& path) {
+  std::vector<uint8_t> bytes;
+  std::FILE* fp = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(fp, nullptr) << path;
+  if (fp == nullptr) return bytes;
+  uint8_t buf[4096];
+  for (size_t n; (n = std::fread(buf, 1, sizeof(buf), fp)) > 0;) {
+    bytes.insert(bytes.end(), buf, buf + n);
+  }
+  std::fclose(fp);
+  return bytes;
+}
+
+std::vector<uint32_t> RefMinus(const std::vector<uint32_t>& a,
+                               const std::vector<uint32_t>& b) {
+  std::vector<uint32_t> out;
+  std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
+                      std::back_inserter(out));
+  return out;
+}
+
+// A compacted container is byte-for-byte the container of a fresh Build
+// over the lists the frozen deltas describe, for every codec and shard
+// count. The deltas cover each shard's first and last row, a (shard, list)
+// emptied by deletes, inserts into an empty list, and updates that race the
+// freeze: those stay out of the container and survive in the rotated WAL.
+TEST(LiveIndexCompactionTest, ContainerIsByteIdenticalToAFreshBuild) {
+  fault::ScopedDisarm disarm;
+  constexpr uint64_t kRows = 1000;
+  const std::string dir = MakeDir("live_byte_identity");
+  LiveIndexOptions options;
+  // The racing updates land while the container rename backs off from one
+  // injected transient fault (10-20 ms).
+  options.retry.base_backoff_us = 20000;
+  options.retry.max_backoff_us = 40000;
+
+  for (const Codec* codec : AllCodecsWithExtensions()) {
+    for (size_t shards : {size_t{1}, size_t{3}, size_t{8}}) {
+      SCOPED_TRACE(std::string(codec->Name()) + " shards=" +
+                   std::to_string(shards));
+      MakeDir("live_byte_identity");
+      const ShardRouter router(kRows, shards);
+      const size_t last = router.NumShards() - 1;
+      std::vector<uint32_t> edges;  // every shard's first and last row
+      for (size_t s = 0; s < router.NumShards(); ++s) {
+        edges.push_back(static_cast<uint32_t>(router.Begin(s)));
+        edges.push_back(static_cast<uint32_t>(router.End(s) - 1));
+      }
+      CanonicalizeRows(&edges);
+      std::vector<uint32_t> last_shard;  // rows 0..19 of the last shard
+      for (uint32_t r = 0; r < 20; ++r) {
+        last_shard.push_back(static_cast<uint32_t>(router.Begin(last)) + r);
+      }
+
+      std::vector<std::vector<uint32_t>> model = {
+          RefMinus(RandomSortedList(200, kRows, TestSeed(0x2a00)), edges),
+          RefUnion(RandomSortedList(500, kRows, TestSeed(0x2a01)), edges),
+          {},
+          RefUnion(RandomSortedList(150, kRows, TestSeed(0x2a03)),
+                   last_shard)};
+      auto live = LiveIndex::Create(
+          dir, ShardedIndex::Build(*codec, model, kRows, shards), options);
+      ASSERT_TRUE(live.ok()) << live.status().ToString();
+
+      // Frozen deltas.
+      const std::vector<uint32_t> fresh_rows =
+          RandomSortedList(40, kRows, TestSeed(0x2a02));
+      std::vector<uint32_t> emptied;  // list 3's rows in the last shard
+      for (uint32_t r : model[3]) {
+        if (r >= router.Begin(last)) emptied.push_back(r);
+      }
+      uint32_t flip_out = 0;  // a row list 0 lacks before and after edges
+      while (std::binary_search(model[0].begin(), model[0].end(), flip_out) ||
+             std::binary_search(edges.begin(), edges.end(), flip_out)) {
+        ++flip_out;
+      }
+      const uint32_t flip_in = model[1][model[1].size() / 2];
+      ASSERT_TRUE((*live)->Insert(0, edges).ok());
+      ASSERT_TRUE((*live)->Insert(0, std::vector<uint32_t>{flip_out}).ok());
+      ASSERT_TRUE((*live)->Remove(1, edges).ok());
+      ASSERT_TRUE((*live)->Remove(1, std::vector<uint32_t>{flip_in}).ok());
+      ASSERT_TRUE((*live)->Insert(2, fresh_rows).ok());
+      ASSERT_TRUE((*live)->Remove(3, emptied).ok());
+      model[0] = RefUnion(RefUnion(model[0], edges), {flip_out});
+      model[1] = RefMinus(RefMinus(model[1], edges), {flip_in});
+      model[2] = fresh_rows;
+      model[3] = RefMinus(model[3], emptied);
+      const std::vector<std::vector<uint32_t>> frozen_model = model;
+
+      // Updates racing the freeze: flip both frozen rows back and refill
+      // part of the emptied (shard, list).
+      const std::vector<uint32_t> refill(emptied.begin(),
+                                         emptied.begin() + 3);
+      fault::FaultInjector::Global().ArmTransientFirst(
+          1, fault::SiteBit(fault::Site::kRename));
+      Status compacted;
+      std::atomic<bool> done{false};
+      std::thread compactor([&] {
+        compacted = (*live)->Compact();
+        done.store(true);
+      });
+      // The first rename is the container's, after the freeze. Updates
+      // that land after the commit instead end the same way: outside the
+      // container and in the rotated WAL.
+      while (fault::FaultInjector::Global().OpsSeen() == 0 && !done.load()) {
+        std::this_thread::yield();
+      }
+      EXPECT_TRUE((*live)->Remove(0, std::vector<uint32_t>{flip_out}).ok());
+      EXPECT_TRUE((*live)->Insert(1, std::vector<uint32_t>{flip_in}).ok());
+      EXPECT_TRUE((*live)->Insert(3, refill).ok());
+      compactor.join();
+      fault::FaultInjector::Global().Disarm();
+      ASSERT_TRUE(compacted.ok()) << compacted.ToString();
+      model[0] = RefMinus(model[0], {flip_out});
+      model[1] = RefUnion(model[1], {flip_in});
+      model[3] = RefUnion(model[3], refill);
+
+      std::vector<uint8_t> expected;
+      ASSERT_TRUE(storage::WriteIndexImage(
+                      ShardedIndex::Build(*codec, frozen_model, kRows, shards),
+                      &expected)
+                      .ok());
+      EXPECT_EQ(ReadFileBytes(dir + "/" + LiveIndex::kIndexFile), expected);
+      EXPECT_EQ((*live)->Stats().delta_rows, 2u + refill.size());
+      ASSERT_TRUE((*live)->Close().ok());
+
+      // The racing updates are in the rotated WAL: checkpoint + one record
+      // per surviving (list, polarity).
+      auto reopened = LiveIndex::Open(dir);
+      ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+      EXPECT_EQ((*reopened)->Stats().replayed_records, 4u);
+      auto snap = (*reopened)->Snapshot();
+      for (uint32_t l = 0; l < model.size(); ++l) {
+        EXPECT_EQ(ListRows(*snap, l), model[l]) << "list " << l;
+      }
+    }
+  }
+}
+
+// Compaction's base is a lazy container no query has materialized yet, and
+// two readers query throughout: compaction and the readers materialize the
+// same payloads concurrently (run under TSan in CI), and every read sees
+// the one effective index the compaction preserves.
+TEST(LiveIndexCompactionTest, LazyUntouchedBaseRacesReaders) {
+  const Codec& codec = *FindCodec("Planner");
+  BaseFixture f = MakeBase(TestSeed(0x2a10));
+  const std::string dir = MakeDir("live_lazy_race");
+  LiveIndexOptions options;
+  options.mapped.validate = storage::ValidateMode::kLazy;
+  auto live = LiveIndex::Create(dir, f.Build(codec, 4), options);
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  const auto base = std::dynamic_pointer_cast<const storage::MappedIndex>(
+      (*live)->Snapshot());
+  ASSERT_NE(base, nullptr);
+
+  const std::vector<uint32_t> ins =
+      RandomSortedList(60, f.num_rows, TestSeed(0x2a11));
+  const std::vector<uint32_t> del(f.lists[1].begin(), f.lists[1].begin() + 30);
+  ASSERT_TRUE((*live)->Insert(0, ins).ok());
+  ASSERT_TRUE((*live)->Remove(1, del).ok());
+  f.lists[0] = RefUnion(f.lists[0], ins);
+  f.lists[1] = RefMinus(f.lists[1], del);
+  ASSERT_EQ(base->MaterializedPayloads(), 0u);
+
+  ThreadPool pool(2);
+  IndexServiceOptions service_options;
+  service_options.cache_enabled = false;
+  IndexService service((*live)->Snapshot(), &pool, service_options);
+  (*live)->AttachService(&service);
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> reads{0}, mismatches{0};
+  auto reader = [&] {
+    std::vector<uint32_t> out;
+    while (!stop.load(std::memory_order_relaxed)) {
+      for (uint32_t l = 0; l < f.lists.size(); ++l) {
+        const Status st = service.Query(QueryPlan::Leaf(l), &out);
+        if (!st.ok() || out != f.lists[l]) mismatches.fetch_add(1);
+      }
+      reads.fetch_add(1);
+    }
+  };
+  std::thread r1(reader), r2(reader);
+  const Status st = (*live)->Compact();
+  const uint64_t reads_at_commit = reads.load();
+  while (reads.load() < reads_at_commit + 4) std::this_thread::yield();
+  stop.store(true);
+  r1.join();
+  r2.join();
+
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ((*live)->Stats().compactions, 1u);
+  EXPECT_EQ((*live)->Stats().delta_rows, 0u);
+  auto snap = (*live)->Snapshot();
+  for (uint32_t l = 0; l < f.lists.size(); ++l) {
+    EXPECT_EQ(ListRows(*snap, l), f.lists[l]) << "list " << l;
+  }
+  (*live)->AttachService(nullptr);
   ASSERT_TRUE((*live)->Close().ok());
 }
 

@@ -171,7 +171,9 @@ TEST(DeserializeCheckedTest, EveryPrefixOfEveryCodecIsContained) {
       ASSERT_EQ(decoded.size(), (*r)->Cardinality()) << "prefix " << n;
       for (size_t i = 0; i < decoded.size(); ++i) {
         ASSERT_LT(decoded[i], kDomain) << "prefix " << n;
-        if (i > 0) ASSERT_LT(decoded[i - 1], decoded[i]) << "prefix " << n;
+        if (i > 0) {
+          ASSERT_LT(decoded[i - 1], decoded[i]) << "prefix " << n;
+        }
       }
     }
   }
